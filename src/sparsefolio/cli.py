@@ -227,20 +227,21 @@ def _infer_assets(text: str) -> int:
     raise InputError("could not infer the asset count; pass --assets")
 
 
-def _load_panel(path_arg: str):
+def _load_panel(path_arg: str, n_assets=None):
+    """Read a canonical CSV panel or a raw-layout file.
+
+    A raw file must have n_assets value columns; None infers the count from
+    the first data row.
+    """
     text = _read_text(path_arg)
     if text.lstrip().startswith("date,"):
         return panel_from_csv(text)
-    return parse_ff_file(text, _infer_assets(text))
+    n = int(n_assets) if n_assets is not None else _infer_assets(text)
+    return parse_ff_file(text, n)
 
 
 def cmd_backtest(args) -> int:
-    text = _read_text(_require(args, "data"))
-    if text.lstrip().startswith("date,"):
-        panel = panel_from_csv(text)
-    else:
-        n = int(args.assets) if args.assets is not None else _infer_assets(text)
-        panel = parse_ff_file(text, n)
+    panel = _load_panel(_require(args, "data"), args.assets)
 
     kind = args.policy or "no-short"
     if kind == "exact-k":

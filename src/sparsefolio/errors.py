@@ -32,10 +32,6 @@ class InfeasibleConstraints(SolverError):
     """The affine system Aw = a has no solution."""
 
 
-class EpsilonPhaseStall(SolverError):
-    """Constraint-attainment phase exceeded its breakpoint budget."""
-
-
 # --- portfolio engine ---
 
 class DegeneratePanel(InputError):
@@ -84,13 +80,3 @@ class WindowOutOfRange(InputError):
 
 class ZeroVolatility(SolverError):
     """Standard deviation is zero; Sharpe ratio undefined."""
-
-
-# --- reference oracles ---
-
-class NoFeasiblePattern(SolverError):
-    """Sign-pattern enumeration found no feasible candidate."""
-
-
-class NotConverged(SolverError):
-    """Iterative oracle stalled above tolerance."""

@@ -1,18 +1,22 @@
 """Exact homotopy in tau for l1-penalized least squares under affine constraints.
 
 Solves min ||Rw - y||^2 + tau * sum_i s_i |w_i| subject to Aw = a for every
-tau at once. The path is computed in two phases:
+tau at once. The path is computed in two stages:
 
-  1. A formal small-epsilon phase on the auxiliary objective
-     ||Aw - a||^2 + eps ||Rw - y||^2 + tau_eps sum s|w|, tracked as truncated
-     second-order expansions in eps (jets). It runs the penalty down until
-     the constraint holds exactly at zeroth order, which yields the starting
-     weights, the starting penalty tau_0 of the original problem, and the
-     initial Lagrange multipliers. The terminal point is then certified: a
-     multiplier line lam(tau) must keep it stationary for every tau above
-     the knee. When certification fails (near-degenerate instances where
-     expansion orders collide), the start is rebuilt directly from the
-     l1-minimal face of the constraint set and re-certified.
+  1. The start. For large tau the penalty dominates, so the minimizer is
+     the least-squares point among the l1-minimal solutions of Aw = a, and
+     the path is constant above a knee tau_0. Both start problems are one
+     small l1 program, min ||x||_1 s.t. E x = e with as many rows as
+     constraints (plus one), solved by a revised simplex whose optimal dual
+     theta gives the start:
+       - nonzero a: E = A, e = a. The optimal face (indices tight at every
+         optimal theta, with their signs) carries the start, found by a
+         least-squares active-set sweep over the face from the program's
+         basic point. A multiplier line lam(tau) that keeps it stationary
+         for every tau above the knee certifies it and pins tau_0.
+       - zero a: w = 0 starts the path, and tau_0 is twice the minimax
+         value min_lam max_i |R^T y + A^T lam|_i, the dual of the program
+         with E = [A; (R^T y)^T] and e = (0, ..., 0, 1).
   2. Ordinary continuation in real arithmetic on the Lagrangian optimality
      system from tau_0 down to tau_stop, moving weights and multipliers
      jointly and recording a breakpoint at every support change. Segments
@@ -25,20 +29,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
-from . import jets
 from .errors import (
-    EpsilonPhaseStall,
     InfeasibleConstraints,
     InputError,
     SingularActiveSystem,
     SolverError,
     TauBelowStop,
 )
-from .jets import Jet
 from .path_unconstrained import (
     ZERO_TIE_REL,
     Event,
@@ -48,7 +48,6 @@ from .path_unconstrained import (
 
 __all__ = [
     "AffineConstraints",
-    "FirstOrderState",
     "ConstrainedBreakpoint",
     "find_constrained_start",
     "solve_constrained_path",
@@ -125,32 +124,6 @@ class AffineConstraints:
 
 
 @dataclass(frozen=True)
-class FirstOrderState:
-    """One small-epsilon phase breakpoint, expanded to first order.
-
-    Weights along the phase are w0 + eps*w1 + O(eps^2) and the auxiliary
-    penalty is tau0 + eps*tau1 + O(eps^2). direction0/direction1 and
-    step0/step1 describe the move that produced this state from its
-    predecessor (all zero for the first state). Quantities refer to the
-    penalty-rescaled problem; for unit penalty weights that is the original
-    problem. At every state, active components balance the constraint
-    gradient at zeroth order and the data gradient at first order:
-
-        (A^T (a - A w0))_i           = tau0/2 * sgn(w_i)
-        (-A^T A w1 + R^T (y - R w0))_i = tau1/2 * sgn(w_i)
-    """
-
-    w0: np.ndarray
-    w1: np.ndarray
-    tau0: float
-    tau1: float
-    direction0: np.ndarray
-    direction1: np.ndarray
-    step0: float
-    step1: float
-
-
-@dataclass(frozen=True)
 class ConstrainedBreakpoint:
     """A kink of the constrained path.
 
@@ -174,21 +147,6 @@ class ConstrainedBreakpoint:
     event: Event = field(default_factory=lambda: Event("START"))
 
 
-def _prod(x, y):
-    # truncated-expansion product rule: an exact zero annihilates an unknown
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = x * y
-    return np.where((x == 0.0) | (y == 0.0), 0.0, out)
-
-
-def _snap(arr: np.ndarray, tol: float) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    small = np.abs(out) <= tol
-    out[small & ~np.isnan(out)] = 0.0
-    return out
-
-
 def _minnorm_solve(M: np.ndarray, rhs: np.ndarray):
     """Min-norm least-squares solution, consistency residual, condition number.
 
@@ -207,59 +165,6 @@ def _minnorm_solve(M: np.ndarray, rhs: np.ndarray):
 def _consistency_gate(rhs_scale: float, kappa: float) -> float:
     eps = np.finfo(float).eps
     return max(1.0, rhs_scale) * max(_RESID_REL, 50.0 * eps * kappa)
-
-
-def _stacked_direction(M: np.ndarray, G: np.ndarray, sigma: np.ndarray,
-                       scale: float):
-    """Direction jets (u0, u1, u2) of the small-epsilon phase.
-
-    Solves the triangular hierarchy M u0 = sigma, G u0 + M u1 = 0,
-    G u1 + M u2 = 0. M is typically singular (more active components than
-    constraints); the kernel component of u0 (and u1) is pinned by requiring
-    the next equation to stay solvable, which is unique because G is positive
-    definite on the kernel of M. A genuinely unreachable hierarchy raises
-    SingularActiveSystem; only the second-order block may degrade to unknown.
-    """
-    k = len(sigma)
-    if k == 0:
-        z = np.zeros(0)
-        return z, z.copy(), z.copy()
-    U, sv, _ = np.linalg.svd(M)
-    rank = int(np.sum(sv > 1e-12 * sv[0])) if sv[0] > 0 else 0
-    Ur = U[:, :rank]
-    Z = U[:, rank:]
-    kappa = float(sv[0] / sv[rank - 1]) if rank else 1.0
-
-    def msolve(rhs, what):
-        xm = Ur @ ((Ur.T @ rhs) / sv[:rank]) if rank else np.zeros(k)
-        resid = float(np.max(np.abs(M @ xm - rhs), initial=0.0))
-        rhs_scale = max(scale, float(np.max(np.abs(rhs), initial=0.0)))
-        if resid > _consistency_gate(rhs_scale, kappa):
-            raise SingularActiveSystem(
-                f"active constraint system cannot balance the {what}"
-            )
-        return xm
-
-    def kernel_fix(x):
-        # shift x inside ker(M) so that G x stays in range(M)
-        if Z.shape[1] == 0:
-            return x
-        H = Z.T @ G @ Z
-        hs = np.linalg.svd(H, compute_uv=False)
-        if hs[0] == 0.0 or hs[-1] <= 1e-12 * hs[0]:
-            raise SingularActiveSystem(
-                "active design is degenerate on the constraint kernel"
-            )
-        c = np.linalg.solve(H, -(Z.T @ (G @ x)))
-        return x + Z @ c
-
-    u0 = kernel_fix(msolve(sigma, "sign vector"))
-    u1 = kernel_fix(msolve(-(G @ u0), "first-order balance"))
-    try:
-        u2 = msolve(-(G @ u1), "second-order balance")
-    except SingularActiveSystem:
-        u2 = np.full(k, np.nan)
-    return u0, u1, u2
 
 
 def _bordered_direction(GJJ: np.ndarray, AJ: np.ndarray, sigma: np.ndarray):
@@ -286,88 +191,108 @@ def _bordered_direction(GJJ: np.ndarray, AJ: np.ndarray, sigma: np.ndarray):
     return x[:k], x[k:]
 
 
-def _lex_sign(c0: float, c1: float) -> float:
-    if c0 != 0.0:
-        return math.copysign(1.0, c0)
-    if c1 != 0.0:
-        return math.copysign(1.0, c1)
-    return 0.0
+def _independent_columns(E: np.ndarray) -> np.ndarray:
+    """m linearly independent columns of E, by pivoted Gram-Schmidt.
+
+    Raises:
+        SolverError: the rows of E are (numerically) dependent.
+    """
+    m = E.shape[0]
+    resid = E.copy()
+    scale = float(np.max(np.linalg.norm(E, axis=0), initial=0.0))
+    basis = np.zeros(m, dtype=int)
+    for k in range(m):
+        norms = np.linalg.norm(resid, axis=0)
+        norms[basis[:k]] = 0.0
+        j = int(np.argmax(norms))
+        if norms[j] <= 1e-12 * scale:
+            raise SolverError("start program has dependent constraint rows")
+        q = resid[:, j] / norms[j]
+        resid -= np.outer(q, q @ resid)
+        basis[k] = j
+    return basis
+
+
+def _l1_program(E: np.ndarray, e: np.ndarray, offset=None):
+    """Optimal basis of ``min ||x||_1 - offset . x  s.t.  E x = e``.
+
+    E must have full row rank; offset (default zero) tilts the cost of each
+    column's two signs. Revised simplex over the 2N signed columns +-E_i.
+    Any m independent columns are a feasible start once each is signed like
+    its basic value, so there is no phase one. Pricing is one product
+    E^T theta per pivot, O(N m); Dantzig's rule picks the entering column,
+    and after a degenerate pivot Bland's smallest-index rule takes over
+    until the objective moves again, which rules out cycling.
+
+    Returns:
+        Tuple ``(basis, signs, x, theta)``: basic column indices, their
+        signs, their nonnegative values (``E[:, basis] @ (signs * x) = e``),
+        and the optimal dual theta, which maximizes ``e . theta`` subject to
+        ``|E^T theta + offset| <= 1``.
+
+    Raises:
+        SolverError: dependent rows, an unbounded program (no feasible
+            theta), or the pivot budget ran out.
+    """
+    m, n = E.shape
+    tilt = np.zeros(n) if offset is None else offset
+    basis = _independent_columns(E)
+    signs = np.where(np.linalg.solve(E[:, basis], e) < 0.0, -1.0, 1.0)
+    bland = False
+    for _ in range(50 + 10 * (m + n)):
+        B = E[:, basis] * signs
+        x = np.maximum(np.linalg.solve(B, e), 0.0)
+        theta = np.linalg.solve(B.T, 1.0 - signs * tilt[basis])
+        g = E.T @ theta + tilt
+        entering = np.flatnonzero(np.abs(g) > 1.0 + 1e-11)
+        if entering.size == 0:
+            return basis, signs, x, theta
+        j = int(entering[0] if bland else entering[np.argmax(np.abs(g[entering]))])
+        sj = math.copysign(1.0, g[j])
+        d = np.linalg.solve(B, sj * E[:, j])
+        pos = d > 1e-11 * float(np.max(np.abs(d)))
+        if not pos.any():
+            raise SolverError("start program is unbounded")
+        ratios = np.full(m, np.inf)
+        ratios[pos] = x[pos] / d[pos]
+        step = float(np.min(ratios))
+        tie = 1e-12 * float(np.max(x))
+        rows = np.flatnonzero(ratios <= step + tie)
+        r = int(rows[np.argmin(basis[rows])])
+        bland = step <= tie
+        basis[r] = j
+        signs[r] = sj
+    raise SolverError("start program exceeded its pivot budget")
 
 
 def _start_multipliers(c: np.ndarray, A: np.ndarray):
     """Multipliers minimizing max_i |c_i + (A^T lam)_i| (zero-rhs start).
 
-    Used when the right-hand side a is zero, where w = 0 is feasible and the
-    path starts there: tau_0 is twice the minimax value. The minimum of a max
-    of affine functions is attained where enough of them are active, so it is
-    found exactly by enumerating small active subsets. Exact for up to two
-    effective constraint directions, which is all the library needs; more
-    are rejected.
+    Used when the right-hand side is zero, where w = 0 is feasible and the
+    path starts there: tau_0 is twice the minimax value phi. With Q an
+    orthonormal basis of A's row space and r the part of c orthogonal to it,
+    the minimax is the dual of ``min ||x||_1  s.t.  Q^T x = 0, r^T x = 1``:
+    at the program's optimal basis, m + 1 signed functions
+    s_i (c_i + (A^T lam)_i) sit at the common level phi, and that square
+    system gives lam and phi. When c lies in A's row space the program is
+    infeasible, phi is zero and lam is the least-squares fit.
     """
     m, n = A.shape
     if m == 0 or n == 0:
         return np.zeros(m), float(np.max(np.abs(c), initial=0.0))
-    # restrict to the row space of A; orthogonal multiplier components are idle
-    U, sv, _ = np.linalg.svd(A)
-    r = int(np.sum(sv > 1e-12 * sv[0])) if sv.size and sv[0] > 0 else 0
-    if r == 0:
-        return np.zeros(m), float(np.max(np.abs(c), initial=0.0))
-    if r > 2:
-        raise InputError(
-            "zero-rhs start supports at most two independent constraint rows"
-        )
-    Ur = U[:, :r]
-    D = A.T @ Ur                      # (n, r): functions f_i(t) = c_i + D_i . t
-    cands = [np.zeros(r)]
-    t_ls, _, _, _ = np.linalg.lstsq(D, -c, rcond=None)
-    cands.append(t_ls)
-    if r == 1:
-        d = D[:, 0]
-        for i in range(n):
-            if abs(d[i]) > 1e-14:
-                cands.append(np.array([-c[i] / d[i]]))
-            for j in range(i + 1, n):
-                for sj in (1.0, -1.0):
-                    den = d[i] - sj * d[j]
-                    if abs(den) > 1e-14:
-                        cands.append(np.array([(sj * c[j] - c[i]) / den]))
-    else:
-        # signed lines +-f_i; a vertex of the optimal level set has three active
-        rows = np.vstack([D, -D])                    # (2n, 2)
-        offs = np.concatenate([c, -c])
-        K = rows.shape[0]
-        tri = [(p, q, w_) for p in range(K) for q in range(p + 1, K)
-               for w_ in range(q + 1, K)]
-        mats = np.array([
-            [rows[p] - rows[q], rows[p] - rows[w_]] for p, q, w_ in tri
-        ])
-        rhss = np.array([
-            [offs[q] - offs[p], offs[w_] - offs[p]] for p, q, w_ in tri
-        ])
-        dets = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-        good = np.abs(dets) > 1e-12 * np.maximum(
-            np.abs(mats).max(axis=(1, 2)) ** 2, 1e-300
-        )
-        for Mq, rq in zip(mats[good], rhss[good]):
-            cands.append(np.linalg.solve(Mq, rq))
-        # double zeros f_i = f_j = 0 catch flat optima the triples miss
-        for p in range(n):
-            for q in range(p + 1, n):
-                Mq = np.array([D[p], D[q]])
-                det = Mq[0, 0] * Mq[1, 1] - Mq[0, 1] * Mq[1, 0]
-                if abs(det) > 1e-12 * max(np.abs(Mq).max() ** 2, 1e-300):
-                    cands.append(np.linalg.solve(Mq, -np.array([c[p], c[q]])))
-    pts = np.array(cands)
-    best_val = np.inf
-    best_t = pts[0]
-    for lo in range(0, pts.shape[0], 20000):
-        block = pts[lo:lo + 20000]
-        vals = np.max(np.abs(c[None, :] + block @ D.T), axis=1)
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val = float(vals[j])
-            best_t = block[j]
-    return Ur @ best_t, best_val
+    lam_ls, _, _, _ = np.linalg.lstsq(A.T, -c, rcond=None)
+    r = c + A.T @ lam_ls
+    r_norm = float(np.linalg.norm(r))
+    if r_norm <= 1e-12 * float(np.linalg.norm(c)):
+        return lam_ls, 0.0
+    Q, _ = np.linalg.qr(A.T)
+    E = np.vstack([Q.T, r / r_norm])
+    e = np.zeros(m + 1)
+    e[m] = 1.0
+    basis, signs, _, _ = _l1_program(E, e)
+    M = np.hstack([signs[:, None] * A[:, basis].T, -np.ones((m + 1, 1))])
+    sol = np.linalg.solve(M, -signs * c[basis])
+    return sol[:m], float(sol[m])
 
 
 def multipliers_at(path: SolutionPath, tau: float) -> np.ndarray:
@@ -392,234 +317,6 @@ def multipliers_at(path: SolutionPath, tau: float) -> np.ndarray:
     return bps[-1].multipliers.copy()
 
 
-def _fresh_b(Rh, y, Ah, a, AtA, w0, w1):
-    # zeroth/first order gradient coefficients, recomputed from scratch
-    b0 = Ah.T @ (a - Ah @ w0)
-    b1 = -(AtA @ w1) + Rh.T @ (y - Rh @ w0)
-    return b0, b1
-
-
-def _epsilon_phase(Rh, y, Ah, a, max_steps, states_out):
-    """Run the penalty of the eps-augmented problem down to zeroth order zero.
-
-    Tracks weights, penalty, boundary gaps, and step candidates as truncated
-    second-order expansions in eps. Returns the exact constrained starting
-    weights, the matching multipliers, and the real-problem starting penalty.
-
-    The second-order gap coefficients are maintained incrementally on
-    purpose: step sizes of deflated boundary events carry an unknowable
-    second-order part whose contribution to its own gap cancels exactly
-    against the penalty shrinkage (the factor 1 - v vanishes there), and the
-    incremental update realizes that cancellation while a recomputation from
-    contaminated state would not.
-    """
-    T, N = Rh.shape
-    m = Ah.shape[0]
-    AtA = Ah.T @ Ah
-    RtR = Rh.T @ Rh
-
-    w0 = np.zeros(N)
-    w1 = np.zeros(N)
-    w2 = np.zeros(N)
-    b0, b1 = _fresh_b(Rh, y, Ah, a, AtA, w0, w1)
-    scale = max(1.0, float(np.max(np.abs(b0), initial=0.0)),
-                float(np.max(np.abs(b1), initial=0.0)))
-    ztol = ZERO_TIE_REL * scale
-
-    # starting penalty: twice the lexicographic max of |b_i|
-    abs_jets = [jets.jet_abs(Jet(b0[i], b1[i], 0.0), ztol) for i in range(N)]
-    top = abs_jets[0]
-    for aj in abs_jets[1:]:
-        if jets.jcmp(aj, top, ztol) == 1:
-            top = aj
-    tau0 = 2.0 * top.c0
-    tau1 = 2.0 * top.c1
-    if tau0 <= ztol:
-        raise SolverError("epsilon phase started without a zeroth-order penalty")
-    J = [i for i in range(N)
-         if jets.jcmp(abs_jets[i], top, ztol) in (0, None)]
-    sigma = {i: _lex_sign(b0[i], b1[i]) for i in J}
-    g2p = np.zeros(N)
-    g2m = np.zeros(N)
-
-    def direction(Jl):
-        sig = np.array([sigma[j] for j in Jl])
-        M = AtA[np.ix_(Jl, Jl)]
-        G = RtR[np.ix_(Jl, Jl)]
-        u0J, u1J, u2J = _stacked_direction(M, G, sig, scale)
-        u0 = np.zeros(N); u0[Jl] = u0J
-        u1 = np.zeros(N); u1[Jl] = u1J
-        u2 = np.zeros(N); u2[Jl] = u2J
-        utol = ZERO_TIE_REL * max(1.0, float(np.max(np.abs(u0), initial=0.0)),
-                                  float(np.max(np.abs(u1), initial=0.0)))
-        u0 = _snap(u0, utol)
-        u1 = _snap(u1, utol)
-        u2 = _snap(u2, utol)
-        return u0, u1, u2
-
-    def entered_violator(u0, u1, u2, entered):
-        worst = None
-        for j in entered:
-            sgn = jets.jet_sign(Jet(u0[j], u1[j], u2[j]), ztol)
-            if sgn is not None and sgn == -sigma[j]:
-                mag = max(abs(u0[j]), abs(u1[j]))
-                if worst is None or mag > worst[0]:
-                    worst = (mag, j)
-        return None if worst is None else worst[1]
-
-    def validated(Jl, entered):
-        while True:
-            u0, u1, u2 = direction(Jl)
-            j = entered_violator(u0, u1, u2, entered)
-            if j is None:
-                return u0, u1, u2, Jl
-            # degenerate pivot: before rejecting the entering coordinate,
-            # try swapping out another zero-weight member instead
-            swapped = False
-            for d in sorted(Jl):
-                if d in entered or w0[d] != 0.0 or w1[d] != 0.0 or w2[d] != 0.0:
-                    continue
-                Jt = [x for x in Jl if x != d]
-                try:
-                    t0, t1, t2 = direction(Jt)
-                except SingularActiveSystem:
-                    continue
-                if entered_violator(t0, t1, t2, entered) is None:
-                    Jl = Jt
-                    sigma.pop(d)
-                    u0, u1, u2 = t0, t1, t2
-                    swapped = True
-                    break
-            if swapped:
-                return u0, u1, u2, Jl
-            Jl = [x for x in Jl if x != j]
-            entered.discard(j)
-            sigma.pop(j)
-
-    u0, u1, u2, J = validated(J, set(J))
-    states_out.append(FirstOrderState(
-        w0=w0.copy(), w1=w1.copy(), tau0=tau0, tau1=tau1,
-        direction0=np.zeros(N), direction1=np.zeros(N), step0=0.0, step1=0.0))
-
-    ignored = set()
-    for _ in range(max_steps):
-        v0 = AtA @ u0
-        v1 = AtA @ u1 + RtR @ u0
-        v2 = AtA @ u2 + RtR @ u1
-        vtol = ZERO_TIE_REL * max(1.0, float(np.nanmax(np.abs(v0), initial=0.0)),
-                                  float(np.nanmax(np.abs(v1), initial=0.0)))
-        v0 = _snap(v0, vtol)
-        v1 = _snap(v1, vtol)
-        v2 = _snap(v2, vtol)
-        dp0 = _snap(1.0 - v0, vtol)
-        dm0 = _snap(1.0 + v0, vtol)
-
-        cands = []  # (gamma jet, kind, index, boundary sign)
-        for i in range(N):
-            if i in sigma:
-                continue
-            gp = Jet(tau0 / 2.0 - b0[i], tau1 / 2.0 - b1[i], g2p[i])
-            if jets.jet_sign(gp, ztol) == -1:
-                # boundary already crossed: the entry is overdue, admit now
-                if (i, 1.0) not in ignored:
-                    cands.append((Jet(0.0, 0.0, 0.0), "enter", i, 1.0))
-            else:
-                g = jets.divide(gp, Jet(dp0[i], -v1[i], -v2[i]), ztol)
-                if g is not None and jets.jet_sign(g, ztol) == 1:
-                    cands.append((g, "enter", i, 1.0))
-            gm = Jet(tau0 / 2.0 + b0[i], tau1 / 2.0 + b1[i], g2m[i])
-            if jets.jet_sign(gm, ztol) == -1:
-                if (i, -1.0) not in ignored:
-                    cands.append((Jet(0.0, 0.0, 0.0), "enter", i, -1.0))
-            else:
-                g = jets.divide(gm, Jet(dm0[i], v1[i], v2[i]), ztol)
-                if g is not None and jets.jet_sign(g, ztol) == 1:
-                    cands.append((g, "enter", i, -1.0))
-        for j in J:
-            if w0[j] == 0.0 and w1[j] == 0.0 and w2[j] == 0.0:
-                continue
-            g = jets.divide(Jet(-w0[j], -w1[j], -w2[j]),
-                            Jet(u0[j], u1[j], u2[j]), ztol)
-            if g is not None and jets.jet_sign(g, ztol) == 1:
-                cands.append((g, "leave", j, 0.0))
-
-        best = None
-        for cand in cands:
-            if best is None or jets.jcmp(cand[0], best[0], ztol) == -1:
-                best = cand
-
-        if best is None or best[0].c0 >= tau0 / 2.0 - ztol:
-            # the zeroth-order penalty empties: constraint attained exactly
-            gamma0 = tau0 / 2.0
-            gamma1 = tau1 / 2.0
-            for g, _, _, _ in cands:
-                if abs(g.c0 - gamma0) <= ztol:
-                    if np.isnan(g.c1):
-                        raise SingularActiveSystem(
-                            "first-order step undetermined at constraint attainment")
-                    gamma1 = min(gamma1, g.c1)
-            w0 = w0 + gamma0 * u0
-            w1 = w1 + gamma1 * u0 + gamma0 * u1
-            # square away the zeroth order constraint residual exactly,
-            # touching only the support so off-support zeros stay exact
-            sup = np.flatnonzero(w0)
-            if sup.size:
-                corr, _, _, _ = np.linalg.lstsq(
-                    Ah[:, sup], a - Ah @ w0, rcond=None)
-                w0[sup] += corr
-            tau_real = max(tau1 - 2.0 * gamma1, 0.0)
-            states_out.append(FirstOrderState(
-                w0=w0.copy(), w1=w1.copy(), tau0=0.0, tau1=tau_real,
-                direction0=u0.copy(), direction1=u1.copy(),
-                step0=gamma0, step1=gamma1))
-            lam0 = -(Ah @ w1)
-            return w0, lam0, tau_real
-
-        g0, g1, g2 = best[0].c0, best[0].c1, best[0].c2
-        if np.isnan(g1):
-            raise SingularActiveSystem("first-order step size undetermined")
-        tied = [c for c in cands if jets.jcmp(c[0], best[0], ztol) in (0, None)]
-        w0 = w0 + g0 * u0
-        w1 = w1 + g1 * u0 + g0 * u1
-        w2 = w2 + _prod(g2, u0) + _prod(g1, u1) + _prod(g0, u2)
-        tau0 -= 2.0 * g0
-        tau1 -= 2.0 * g1
-        g2p += -_prod(g2, dp0) + _prod(g1, v1) + _prod(g0, v2)
-        g2m += -_prod(g2, dm0) - _prod(g1, v1) - _prod(g0, v2)
-
-        J_prev = sorted(J)
-        entered = set()
-        for g, kind, i, bnd in tied:
-            if kind == "leave":
-                if i in sigma:
-                    w0[i] = w1[i] = w2[i] = 0.0
-                    J = [x for x in J if x != i]
-                    sigma.pop(i)
-            else:
-                if i not in sigma:
-                    J = J + [i]
-                    sigma[i] = bnd
-                    entered.add(i)
-        b0, b1 = _fresh_b(Rh, y, Ah, a, AtA, w0, w1)
-        u0, u1, u2, J = validated(J, entered)
-        if g0 == 0.0 and g1 == 0.0:
-            # an overdue admission that validation rejected outright cannot
-            # make progress; skip it from now on rather than loop
-            bounced = {(i, bnd) for g, kind, i, bnd in tied
-                       if kind == "enter" and i not in sigma}
-            if bounced and sorted(J) == J_prev:
-                ignored |= bounced
-        else:
-            ignored.clear()
-        states_out.append(FirstOrderState(
-            w0=w0.copy(), w1=w1.copy(), tau0=tau0, tau1=tau1,
-            direction0=u0.copy(), direction1=u1.copy(), step0=g0, step1=g1))
-
-    raise EpsilonPhaseStall(
-        f"epsilon phase did not finish within {max_steps} breakpoints"
-    )
-
-
 def _prepare(problem: PenalizedProblem, constraints: AffineConstraints):
     if constraints.n_assets != problem.n_assets:
         raise InputError(
@@ -635,89 +332,65 @@ def _prepare(problem: PenalizedProblem, constraints: AffineConstraints):
 def _l1_face(Ah, a):
     """Optimal face of ``min ||w||_1  s.t.  Ah w = a``.
 
-    Maximizes ``a . theta`` over the bounded dual polytope
-    ``max_i |(Ah^T theta)_i| <= 1`` by vertex enumeration (one or two
-    constraint rows), and reads the face off complementary slackness.
+    Solves the l1 program for an optimal basis and dual theta, and reads the
+    face off complementary slackness. Every optimal theta keeps the columns
+    of the basic support tight; when those columns leave one direction of
+    theta free, the optimal thetas form a segment along it, and the face is
+    read at the segment's midpoint so that it holds the indices tight at
+    every optimal theta. With two or more free directions (three or more
+    rows only) the face is read at the basic theta; it may then hold extra
+    indices, which every point of the face keeps at zero.
 
     Returns:
-        Tuple ``(face, signs)``: sorted array of indices whose dual bound
-        is active at every optimal vertex, and the sign each face weight
-        must carry.
-
-    Raises:
-        SolverError: with more than two constraint rows, where vertex
-            enumeration is not implemented.
+        Tuple ``(face, signs, x)``: sorted array of face indices, the sign
+        each face weight must carry, and the basic point of the face as
+        nonnegative magnitudes (``Ah[:, face] @ (signs * x) = a``).
     """
-    m, n = Ah.shape
-    if m > 2:
-        raise SolverError(
-            "degenerate-start recovery supports at most two constraint rows"
-        )
     rel = 1e-9
-    if m == 1:
-        row = Ah[0]
-        mx = float(np.max(np.abs(row)))
-        theta = np.array([math.copysign(1.0 / mx, a[0])])
-        vertices = [theta]
-    else:
-        cols = Ah.T  # one dual constraint normal per asset
-        vertices = []
-        colscale = float(np.max(np.abs(cols)))
-        det_tol = 1e-12 * colscale * colscale
-        for i in range(n):
-            for j in range(i + 1, n):
-                M = np.array([cols[i], cols[j]])
-                if abs(np.linalg.det(M)) <= det_tol:
-                    continue
-                for si in (1.0, -1.0):
-                    for sj in (1.0, -1.0):
-                        theta = np.linalg.solve(M, np.array([si, sj]))
-                        if np.max(np.abs(Ah.T @ theta)) <= 1.0 + rel:
-                            vertices.append(theta)
-        if not vertices:
-            raise SolverError("no feasible dual vertex for the start face")
-    objs = [float(a @ th) for th in vertices]
-    best = max(objs)
-    tie = [th for th, ob in zip(vertices, objs)
-           if ob >= best - rel * max(1.0, abs(best))]
-    face_mask = np.ones(n, dtype=bool)
-    for th in tie:
-        face_mask &= np.abs(Ah.T @ th) >= 1.0 - rel
-    face = np.flatnonzero(face_mask)
-    if face.size == 0:
-        raise SolverError("empty start face from the dual certificate")
-    signs = np.sign(Ah[:, face].T @ tie[0])
-    return face, signs
+    basis, bsigns, xb, theta = _l1_program(Ah, a)
+    support = xb > rel * float(np.max(xb))
+    free = _free_directions(Ah[:, basis[support]])
+    if free.shape[1] == 1:
+        g0 = Ah.T @ theta
+        gz = Ah.T @ free[:, 0]
+        up = _segment_end(g0, gz)
+        down = _segment_end(g0, -gz)
+        theta = theta + 0.5 * (up - down) * free[:, 0]
+    g = Ah.T @ theta
+    face = np.flatnonzero(np.abs(g) >= 1.0 - rel)
+    if not np.all(np.isin(basis[support], face)):
+        raise SolverError("start face misses the basic support")
+    x = np.zeros(face.size)
+    x[np.searchsorted(face, basis[support])] = xb[support]
+    return face, np.sign(g[face]), x
 
 
-def _face_vertex(Ah, a, face, signs):
-    """A feasible point of the l1-minimal face, from an invertible subset."""
-    m = Ah.shape[0]
-    E = Ah[:, face] * signs
-    f = len(face)
-    for k in combinations(range(f), min(m, f)):
-        K = list(k)
-        xk, res, _ = _minnorm_solve(E[:, K], a)
-        if res > 1e-10 * max(1.0, float(np.linalg.norm(a))):
-            continue
-        if np.min(xk, initial=0.0) >= -1e-9 * max(1.0, float(np.max(np.abs(xk)))):
-            x = np.zeros(f)
-            x[K] = np.maximum(xk, 0.0)
-            return x
-    raise SolverError("no feasible vertex found on the start face")
+def _free_directions(M):
+    """Orthonormal basis of the directions orthogonal to every column of M."""
+    U, sv, _ = np.linalg.svd(M)
+    return U[:, int(np.sum(sv > 1e-12 * sv[0])):]
 
 
-def _face_lsq(Rh, y, Ah, a, face, signs):
+def _segment_end(g0, gz):
+    """Largest t >= 0 keeping |g0 + t gz| <= 1."""
+    big = 1e-12 * max(1.0, float(np.max(np.abs(gz))))
+    up = gz > big
+    dn = gz < -big
+    t = np.concatenate([(1.0 - g0[up]) / gz[up], (-1.0 - g0[dn]) / gz[dn]])
+    return max(0.0, float(np.min(t, initial=np.inf)))
+
+
+def _face_lsq(Rh, y, Ah, a, face, signs, x):
     """Least-squares optimum over the l1-minimal face.
 
     Solves ``min ||Rh w - y||^2`` over ``{Ah w = a, supp(w) in face,
     sign(w_i) = signs_i}`` with a primal active-set sweep on the
-    sign-flipped nonnegative variables, starting from a feasible vertex.
+    sign-flipped nonnegative variables, starting from the feasible point x.
     """
     B = Rh[:, face] * signs
     E = Ah[:, face] * signs
     f = len(face)
-    x = _face_vertex(Ah, a, face, signs)
+    x = x.copy()
     zero = x <= 0.0
     x[zero] = 0.0
     for _ in range(50 + 10 * f):
@@ -780,7 +453,12 @@ def _certify_knee(Rh, y, Ah, a, w):
     Checks whether multipliers ``lam(tau) = lam_c + (tau/2) lam_d`` exist
     making ``w`` stationary for every penalty above some knee, and returns
     the smallest such penalty with its multipliers, or None when no such
-    certificate exists (the candidate is not the top of the path).
+    certificate exists (the candidate is not the top of the path). When the
+    support leaves multiplier directions free (fewer support columns than
+    constraint rows), the knee is the smallest rho = tau/2 for which some
+    free component t keeps |alpha_i + rho d_i + h_i . t| <= rho off the
+    support; with mu = 1/rho and v = t/rho that is the l1 program's dual
+    max mu s.t. |alpha_i mu + h_i . v + d_i| <= 1.
     """
     rel = 1e-9
     if float(np.linalg.norm(Ah @ w - a)) > 1e-10 * max(1.0, float(np.linalg.norm(a))):
@@ -799,9 +477,22 @@ def _certify_knee(Rh, y, Ah, a, w):
         return None
     alpha = c + Ah.T @ lam_c
     d = Ah.T @ lam_d
+    out = np.setdiff1d(np.arange(len(w)), S)
+    free = _free_directions(Ah[:, S])
+    if free.shape[1]:
+        H = Ah[:, out].T @ free
+        e = np.zeros(1 + free.shape[1])
+        e[0] = 1.0
+        try:
+            _, _, _, theta = _l1_program(np.vstack([alpha[out], H.T]), e, d[out])
+        except SolverError:
+            return None
+        if theta[0] <= 0.0:
+            return None
+        rho = 1.0 / theta[0]
+        return 2.0 * rho, lam_c + rho * lam_d + free @ (rho * theta[1:])
     atol = rel * scale
     tau0 = 0.0
-    out = np.setdiff1d(np.arange(len(w)), S)
     for i in out:
         ai = float(alpha[i])
         di = float(d[i])
@@ -818,45 +509,26 @@ def _certify_knee(Rh, y, Ah, a, w):
     return tau0, lam_c + (tau0 / 2.0) * lam_d
 
 
-def _fallback_start(Rh, y, Ah, a):
-    """Direct start construction used when the expansion cannot certify."""
-    face, signs = _l1_face(Ah, a)
-    w = _face_lsq(Rh, y, Ah, a, face, signs)
+def _initial_state(problem, constraints):
+    """Start weights, multipliers and tau_0, in the penalty-rescaled problem.
+
+    A zero (or absent) right-hand side starts at w = 0 with minimax
+    multipliers. Otherwise the start is the least-squares point of the
+    l1-minimal face of the constraints, certified as the path top by a
+    multiplier line that keeps it stationary above the knee tau_0.
+    """
+    Rh, y, Ah, a, s = _prepare(problem, constraints)
+    N = Rh.shape[1]
+    if Ah.shape[0] == 0 or float(np.max(np.abs(Ah.T @ a), initial=0.0)) <= 1e-300:
+        lam0, phi = _start_multipliers(Rh.T @ y, Ah)
+        return np.zeros(N), lam0, 2.0 * phi
+    face, signs, x = _l1_face(Ah, a)
+    w = _face_lsq(Rh, y, Ah, a, face, signs, x)
     cert = _certify_knee(Rh, y, Ah, a, w)
     if cert is None:
         raise SolverError("start point could not be certified as path top")
     tau0, lam = cert
     return w, lam, tau0
-
-
-def _initial_state(problem, constraints, max_steps, states_out):
-    """Common start logic: returns scaled weights, multipliers, tau_0."""
-    Rh, y, Ah, a, s = _prepare(problem, constraints)
-    N = Rh.shape[1]
-    m = Ah.shape[0]
-    if m == 0 or float(np.max(np.abs(Ah.T @ a), initial=0.0)) <= 1e-300:
-        # zero (or absent) rhs: w = 0 is feasible and starts the path
-        lam0, phi = _start_multipliers(Rh.T @ y, Ah)
-        return np.zeros(N), lam0, 2.0 * phi
-    budget = max_steps if max_steps is not None else 4 * N + 4 * m
-    try:
-        w, lam, tau0 = _epsilon_phase(Rh, y, Ah, a, budget, states_out)
-        cert = _certify_knee(Rh, y, Ah, a, w)
-    except (EpsilonPhaseStall, SingularActiveSystem):
-        if max_steps is not None or m > 2:
-            raise
-        cert = None
-        w = None
-    if cert is not None:
-        # the certificate pins the exact knee; its multipliers replace the
-        # expansion's first-order estimate
-        return w, cert[1], cert[0]
-    if w is not None and (max_steps is not None or m > 2):
-        # an explicit step budget asks for the raw expansion result; with
-        # more than two constraint rows the certificate is incomplete
-        # (multiplier freedom), so a finished expansion stands as is
-        return w, lam, tau0
-    return _fallback_start(Rh, y, Ah, a)
 
 
 def _start_breakpoint(Rh, y, Ah, a, s, w, lam, tau0, tau_stop):
@@ -910,36 +582,32 @@ def _validated_real(RtR, Ah, J, sigma, entered, ztol):
         sigma.pop(j)
 
 
-def find_constrained_start(problem, constraints, max_steps=None,
-                           return_states=False):
+def find_constrained_start(problem, constraints):
     """First breakpoint of the constrained path and its penalty level tau_0.
 
     The returned weights minimize the constrained objective for every
-    tau >= tau_0 (the path is constant up there); multipliers come from the
-    first-order part of the final small-epsilon step.
+    tau >= tau_0 (the path is constant up there). With a nonzero
+    right-hand side they are the least-squares point of the l1-minimal face
+    of the constraints, and the multipliers are those of the certificate
+    that pins tau_0; with a zero right-hand side the weights are zero and
+    the multipliers minimize max_i |R^T y + A^T lam|_i.
 
     Args:
         problem: data term and penalty weights.
         constraints: feasible affine constraints (rows independent).
-        max_steps: small-epsilon breakpoint budget; default 4N + 4m.
-        return_states: also return the recorded FirstOrderState list.
 
     Raises:
-        InfeasibleConstraints: propagated from constraint construction.
-        EpsilonPhaseStall: budget exhausted before the constraint was met.
+        InputError: constraints and problem cover different asset counts.
+        SolverError: the start could not be built or certified.
     """
-    states: list[FirstOrderState] = []
-    w, lam, tau0 = _initial_state(problem, constraints, max_steps, states)
+    w, lam, tau0 = _initial_state(problem, constraints)
     Rh, y, Ah, a, s = _prepare(problem, constraints)
     bp, *_ = _start_breakpoint(Rh, y, Ah, a, s, w, lam, tau0,
                                problem.tau_stop)
-    if return_states:
-        return bp, tau0, states
     return bp, tau0
 
 
-def solve_constrained_path(problem, constraints, max_steps=None,
-                           max_active=None):
+def solve_constrained_path(problem, constraints, max_active=None):
     """Every breakpoint of the constrained path from tau_0 down to tau_stop.
 
     Weights and multipliers are both piecewise linear in tau between the
@@ -947,8 +615,7 @@ def solve_constrained_path(problem, constraints, max_steps=None,
     recorded like any other breakpoint. Set max_active to end the path early
     once the working set reaches that size.
     """
-    states: list[FirstOrderState] = []
-    w, lam, tau0 = _initial_state(problem, constraints, max_steps, states)
+    w, lam, tau0 = _initial_state(problem, constraints)
     Rh, y, Ah, a, s = _prepare(problem, constraints)
     RtR = Rh.T @ Rh
     N = Rh.shape[1]

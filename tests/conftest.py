@@ -19,14 +19,16 @@ def no_constraints(n):
     return AffineConstraints(matrix=np.zeros((0, n)), rhs=np.zeros(0))
 
 
-def random_instance(seed, n_max=8, t_max=12, m_choices=(0, 1, 2)):
+def random_instance(seed, n_max=8, t_max=12, m_choices=(0, 1, 2),
+                    n_min=2, zero_rhs=False):
     """Small dense instance with m independent, feasible constraint rows.
 
     Penalty weights are attached on every third seed so weighted handling
-    stays exercised throughout the suite.
+    stays exercised throughout the suite. zero_rhs replaces the drawn
+    right-hand side by zeros.
     """
     rng = np.random.default_rng(5000 + seed)
-    N = int(rng.integers(2, n_max + 1))
+    N = int(rng.integers(n_min, n_max + 1))
     T = int(rng.integers(2, t_max + 1))
     m = int(rng.choice([c for c in m_choices if c <= N - 1] or [0]))
     R = rng.standard_normal((T, N))
@@ -44,6 +46,8 @@ def random_instance(seed, n_max=8, t_max=12, m_choices=(0, 1, 2)):
             if sv[-1] > 1e-6 * sv[0]:
                 break
         a = A @ rng.standard_normal(N)
+        if zero_rhs:
+            a = np.zeros(m)
         constraints = AffineConstraints(matrix=A, rhs=a)
     return problem, constraints
 
@@ -65,6 +69,20 @@ def markowitz_instance(seed):
     A = np.vstack([mu, np.ones(N)])
     constraints = AffineConstraints(matrix=A, rhs=np.array([rho, 1.0]))
     return problem, constraints
+
+
+def factor_panel(seed, n_assets, n_months):
+    """(n_months, n_assets) returns of a seeded 3-factor model.
+
+    returns = 0.12 + f B^T + 0.2 eps with factor volatilities
+    (0.16, 0.10, 0.08) and loadings B = 1 + 0.3 N(0, 1), drawn in the order
+    f, B, eps; months run from 1970-07.
+    """
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((n_months, 3)) * np.array([0.16, 0.10, 0.08])
+    loadings = 1.0 + 0.3 * rng.standard_normal((n_assets, 3))
+    eps = rng.standard_normal((n_months, n_assets))
+    return 0.12 + f @ loadings.T + 0.2 * eps
 
 
 def unconstrained_instance(seed, weighted=False):

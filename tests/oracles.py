@@ -3,9 +3,11 @@
 Nothing here shares code with the path machinery: the sign-enumeration
 oracle solves every fixed-sign KKT system directly from the optimality
 conditions, the descent oracle minimizes the small-epsilon augmented
-objective iteratively, and the nonnegative-QP oracle enumerates supports of
-the quadratic program. They are deliberately brute force; keep them out of
-production code paths.
+objective iteratively, the nonnegative-QP oracle enumerates supports of
+the quadratic program, and the two vertex enumerations solve the path
+start's small linear programs (the l1-minimal face and the zero-rhs
+minimax) by listing candidate vertices. They are deliberately brute force
+and live with the tests, outside the installed package.
 """
 from __future__ import annotations
 
@@ -14,16 +16,28 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError, NoFeasiblePattern, NotConverged
-from .path_constrained import AffineConstraints
-from .path_unconstrained import PenalizedProblem
+from sparsefolio.errors import InputError, SolverError
+from sparsefolio.path_constrained import AffineConstraints
+from sparsefolio.path_unconstrained import PenalizedProblem
 
 __all__ = [
+    "NoFeasiblePattern",
+    "NotConverged",
     "oracle_sign_enumeration",
     "oracle_sign_enumeration_many",
     "oracle_projected_descent",
     "oracle_nonnegative_qp",
+    "enum_l1_face",
+    "enum_minimax",
 ]
+
+
+class NoFeasiblePattern(SolverError):
+    """Sign-pattern enumeration found no feasible candidate."""
+
+
+class NotConverged(SolverError):
+    """Iterative oracle stalled above tolerance."""
 
 
 def _constraint_arrays(constraints: AffineConstraints | None, n: int):
@@ -424,3 +438,96 @@ def oracle_nonnegative_qp(
     if best_w is None:
         raise NoFeasiblePattern("no nonnegative support satisfies the constraints")
     return best_w
+
+
+def enum_l1_face(Ah, a, rel=1e-9):
+    """Optimal face of ``min ||w||_1  s.t.  Ah w = a`` by dual vertex enumeration.
+
+    For one or two rows, lists every vertex of ``|Ah^T theta|_inf <= 1``
+    (two tight columns with chosen signs), keeps those within rel of the
+    best ``a . theta``, and returns the sorted indices tight with the same
+    sign at all of them, together with those signs. Cost O(N^2).
+    """
+    m, n = Ah.shape
+    if m == 1:
+        theta = np.array([np.copysign(1.0 / np.max(np.abs(Ah[0])), a[0])])
+        vertices = [theta]
+    elif m == 2:
+        cols = Ah.T
+        vertices = []
+        colscale = float(np.max(np.abs(cols)))
+        det_tol = 1e-12 * colscale * colscale
+        for i in range(n):
+            for j in range(i + 1, n):
+                M = np.array([cols[i], cols[j]])
+                if abs(np.linalg.det(M)) <= det_tol:
+                    continue
+                for si in (1.0, -1.0):
+                    for sj in (1.0, -1.0):
+                        theta = np.linalg.solve(M, np.array([si, sj]))
+                        if np.max(np.abs(Ah.T @ theta)) <= 1.0 + rel:
+                            vertices.append(theta)
+    else:
+        raise InputError("vertex enumeration covers one or two rows")
+    objs = [float(a @ th) for th in vertices]
+    best = max(objs)
+    tie = [th for th, ob in zip(vertices, objs)
+           if ob >= best - rel * max(1.0, abs(best))]
+    # tight with one sign at every optimal vertex, hence on their hull; an
+    # index tight with opposite signs at two vertices is slack between them
+    G = Ah.T @ np.array(tie).T
+    face = np.flatnonzero(np.all(G >= 1.0 - rel, axis=1)
+                          | np.all(G <= -1.0 + rel, axis=1))
+    return face, np.sign(G[face, 0])
+
+
+def enum_minimax(c, A):
+    """``min_lam max_i |c_i + (A^T lam)_i|`` by candidate enumeration.
+
+    With r <= 2 independent rows, the optimum is a point where enough of the
+    2N signed affine functions are equal: all equal triples (r = 2) or pairs
+    (r = 1), every double zero, the least-squares point and the origin are
+    evaluated and the best kept. Returns (lam, value). Cost O(N^3).
+    """
+    m, n = A.shape
+    if m == 0 or n == 0:
+        return np.zeros(m), float(np.max(np.abs(c), initial=0.0))
+    U, sv, _ = np.linalg.svd(A)
+    r = int(np.sum(sv > 1e-12 * sv[0])) if sv.size and sv[0] > 0 else 0
+    if r == 0:
+        return np.zeros(m), float(np.max(np.abs(c), initial=0.0))
+    if r > 2:
+        raise InputError("candidate enumeration covers at most two rows")
+    Ur = U[:, :r]
+    D = A.T @ Ur
+    cands = [np.zeros(r)]
+    t_ls, _, _, _ = np.linalg.lstsq(D, -c, rcond=None)
+    cands.append(t_ls)
+    if r == 1:
+        d = D[:, 0]
+        for i in range(n):
+            if abs(d[i]) > 1e-14:
+                cands.append(np.array([-c[i] / d[i]]))
+            for j in range(i + 1, n):
+                for sj in (1.0, -1.0):
+                    den = d[i] - sj * d[j]
+                    if abs(den) > 1e-14:
+                        cands.append(np.array([(sj * c[j] - c[i]) / den]))
+    else:
+        rows = np.vstack([D, -D])
+        offs = np.concatenate([c, -c])
+        for p, q, w in itertools.combinations(range(rows.shape[0]), 3):
+            M = np.array([rows[p] - rows[q], rows[p] - rows[w]])
+            det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+            if abs(det) > 1e-12 * max(np.abs(M).max() ** 2, 1e-300):
+                cands.append(np.linalg.solve(
+                    M, np.array([offs[q] - offs[p], offs[w] - offs[p]])))
+        for p, q in itertools.combinations(range(n), 2):
+            M = np.array([D[p], D[q]])
+            det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+            if abs(det) > 1e-12 * max(np.abs(M).max() ** 2, 1e-300):
+                cands.append(np.linalg.solve(M, -np.array([c[p], c[q]])))
+    pts = np.array(cands)
+    vals = np.max(np.abs(c[None, :] + pts @ D.T), axis=1)
+    j = int(np.argmin(vals))
+    return Ur @ pts[j], float(vals[j])

@@ -22,7 +22,7 @@ from sparsefolio import (
     solve_path,
 )
 from sparsefolio.market_data import parse_ff_file
-from sparsefolio.oracles import oracle_nonnegative_qp, oracle_sign_enumeration_many
+from oracles import oracle_nonnegative_qp, oracle_sign_enumeration_many
 
 from conftest import (
     markowitz_instance,

@@ -213,6 +213,32 @@ def test_backtest_k_sweep_file(tmp_path):
     assert len(lines) == 5
 
 
+def test_backtest_raw_layout_asset_count(tmp_path):
+    # a raw monthly-percent file: the asset count is inferred, or checked
+    # against --assets when given
+    rng = np.random.default_rng(5)
+    lines = ["Banner line", "      A0 A1 A2 A3"]
+    for k in range(48):
+        y, m = add_months((1976, 7), k)
+        cells = " ".join(f"{v:.2f}" for v in 5.0 * rng.standard_normal(4) + 1.0)
+        lines.append(f"{y:04d}{m:02d} {cells}")
+    data = tmp_path / "raw.txt"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    reports = []
+    for extra in ([], ["--assets", "4"]):
+        out = tmp_path / f"out{len(extra)}"
+        proc = run_cli("backtest", "--data", str(data), "--out", str(out),
+                       "--start", "1978-06", "--end", "1979-06",
+                       "--training-months", "24", *extra)
+        assert proc.returncode == 0, proc.stderr
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    proc = run_cli("backtest", "--data", str(data), "--out", str(tmp_path / "bad"),
+                   "--assets", "5")
+    assert proc.returncode == 2
+    assert "WrongColumnCount" in proc.stderr
+
+
 # --- track / hedge / adjust ---
 
 def test_track_exact_copy_reaches_zero(tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sparsefolio import AffineConstraints, InputError, PenalizedProblem
-from sparsefolio.oracles import (
+from oracles import (
     oracle_nonnegative_qp,
     oracle_projected_descent,
     oracle_sign_enumeration,
@@ -127,7 +127,7 @@ def test_nonnegative_qp_simplex_projection():
 
 
 def test_nonnegative_qp_infeasible_raises():
-    from sparsefolio import NoFeasiblePattern
+    from oracles import NoFeasiblePattern
 
     p = PenalizedProblem(design=np.eye(2), target=np.ones(2))
     cons = AffineConstraints(matrix=np.ones((1, 2)), rhs=np.array([-1.0]))

@@ -5,7 +5,6 @@ import pytest
 
 from sparsefolio import (
     AffineConstraints,
-    EpsilonPhaseStall,
     InfeasibleConstraints,
     InputError,
     PenalizedProblem,
@@ -15,12 +14,17 @@ from sparsefolio import (
     solve_constrained_path,
     solve_path,
 )
-from sparsefolio.oracles import (
+from oracles import (
     oracle_nonnegative_qp,
     oracle_sign_enumeration_many,
 )
 
-from conftest import markowitz_instance, no_constraints, random_instance
+from conftest import (
+    factor_panel,
+    markowitz_instance,
+    no_constraints,
+    random_instance,
+)
 
 
 def certificate_violation(problem, constraints, bp):
@@ -135,35 +139,6 @@ def test_start_weights_constant_above_tau0():
         np.testing.assert_allclose(bp.weights, w_star, atol=1e-8)
 
 
-def test_state_history_balances():
-    # at every recorded small-epsilon breakpoint, the nonzero components
-    # balance the constraint gradient at order zero and the data gradient
-    # at order one
-    rng = np.random.default_rng(40)
-    R = rng.standard_normal((8, 4))
-    y = rng.standard_normal(8)
-    A = np.vstack([np.ones(4), rng.standard_normal(4)])
-    a = np.array([1.0, 0.3])
-    p = PenalizedProblem(design=R, target=y)
-    cons = AffineConstraints(matrix=A, rhs=a)
-    bp, tau0, states = find_constrained_start(p, cons, return_states=True)
-    assert len(states) >= 2
-    for st in states:
-        nz = [i for i in range(4) if abs(st.w0[i]) > 1e-12]
-        e1 = A.T @ (a - A @ st.w0)
-        e2 = -A.T @ A @ st.w1 + R.T @ (y - R @ st.w0)
-        for i in nz:
-            sg = np.sign(st.w0[i])
-            assert abs(e1[i] - st.tau0 / 2.0 * sg) <= 1e-9
-            assert abs(e2[i] - st.tau1 / 2.0 * sg) <= 1e-9 * max(1.0, abs(st.tau1))
-
-
-def test_stall_raised_when_budget_exhausted():
-    problem, constraints = markowitz_instance(0)
-    with pytest.raises(EpsilonPhaseStall):
-        find_constrained_start(problem, constraints, max_steps=1)
-
-
 @pytest.mark.parametrize("seed", [5, 11, 26])
 def test_degenerate_start_instances_match_qp_oracle(seed):
     # seeds whose small-epsilon phase needs repair; the certified answer
@@ -173,6 +148,33 @@ def test_degenerate_start_instances_match_qp_oracle(seed):
     w_star = oracle_nonnegative_qp(problem, constraints)
     np.testing.assert_allclose(bp.weights, w_star, atol=1e-8)
     assert np.all(bp.weights >= -1e-12)
+
+
+@pytest.mark.parametrize("year", [1977, 2004])
+def test_factor_panel_start_is_exact_kkt_point(year):
+    # June windows of the seed-0 48-asset factor panel whose start used to
+    # sit about 1e-9 off the exact support KKT point. The certificate is
+    # rebuilt from the weights alone: multipliers are the least-squares fit
+    # of the equations on the nonzero weights.
+    returns = factor_panel(0, 48, 432)
+    end = (year - 1970) * 12      # one past June of year; months from 1970-07
+    R = returns[end - 60:end]
+    rho = float(R.mean(axis=1).mean())
+    y = np.full(60, rho)
+    A = np.vstack([R.mean(axis=0), np.ones(48)])
+    problem = PenalizedProblem(design=R, target=y)
+    cons = AffineConstraints(matrix=A, rhs=np.array([rho, 1.0]))
+    bp, tau0 = find_constrained_start(problem, cons)
+    w = bp.weights
+    nz = w != 0.0
+    g = R.T @ (y - R @ w)
+    lam = np.linalg.lstsq(A[:, nz].T, tau0 / 2.0 * np.sign(w[nz]) - g[nz],
+                          rcond=None)[0]
+    g = g + A.T @ lam
+    on = np.max(np.abs(g[nz] - tau0 / 2.0 * np.sign(w[nz])))
+    off = np.max(np.abs(g[~nz]) - tau0 / 2.0, initial=0.0)
+    assert max(on, off) <= 1e-9 * max(1.0, float(np.max(np.abs(R.T @ y))))
+    assert np.all(w >= 0.0) and abs(float(w.sum()) - 1.0) <= 1e-12
 
 
 # --- solve_constrained_path ---
@@ -186,6 +188,29 @@ def test_markowitz_path_matches_oracle_at_random_taus():
     exact = oracle_sign_enumeration_many(problem, constraints, taus)
     for tau, w_star in zip(taus, exact):
         np.testing.assert_allclose(path.eval_at(tau), w_star, atol=1e-8)
+
+
+@pytest.mark.parametrize("seed", range(28, 40))
+def test_target_at_edge_of_mean_span(seed):
+    # rho at the largest (odd seeds) or smallest mean: the no-short start
+    # holds the one extreme asset, so its single support column leaves a
+    # multiplier direction free and the knee must be found over it
+    R = markowitz_instance(seed)[0].design
+    mu = R.mean(axis=0)
+    rho = float(mu.max() if seed % 2 else mu.min())
+    problem = PenalizedProblem(design=R, target=np.full(R.shape[0], rho))
+    cons = AffineConstraints(matrix=np.vstack([mu, np.ones(R.shape[1])]),
+                             rhs=np.array([rho, 1.0]))
+    path = solve_constrained_path(problem, cons)
+    tau0 = path.breakpoints[0].tau
+    for bp in path.breakpoints:
+        assert certificate_violation(problem, cons, bp) <= 1e-9 * max(1.0, tau0)
+    rng = np.random.default_rng(seed)
+    taus = np.concatenate([rng.uniform(0.0, tau0, size=8), [1.5 * tau0]])
+    ties = oracle_sign_enumeration_many(problem, cons, taus, return_ties=True)
+    for tau, exact in zip(taus, ties):
+        w = path.eval_at(float(tau))
+        assert min(float(np.max(np.abs(w - t))) for t in exact) <= 1e-8
 
 
 def test_four_asset_two_constraint_instance():
@@ -205,9 +230,21 @@ def test_four_asset_two_constraint_instance():
         np.testing.assert_allclose(path.eval_at(tau), w_star, atol=1e-8)
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_random_paths_certified(seed):
-    problem, constraints = random_instance(seed)
+# three and four rows, with a nonzero and with a zero right-hand side
+WIDE_ROWS = [
+    pytest.param(seed, dict(m_choices=(m,), n_min=m + 2, zero_rhs=zero),
+                 id=f"m{m}-{'zero' if zero else 'rhs'}-{seed}")
+    for m in (3, 4) for zero in (False, True) for seed in range(5)
+]
+
+
+@pytest.mark.parametrize(
+    "seed, shape",
+    [pytest.param(seed, {}, id=str(seed)) for seed in range(10)] + WIDE_ROWS)
+def test_random_paths_certified(seed, shape):
+    problem, constraints = random_instance(seed, **shape)
+    if shape:
+        assert constraints.n_constraints == shape["m_choices"][0]
     path = solve_constrained_path(problem, constraints)
     scale = max(1.0, path.breakpoints[0].tau)
     A, a = constraints.matrix, constraints.rhs

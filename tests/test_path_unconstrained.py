@@ -11,7 +11,7 @@ from sparsefolio import (
     initial_tau,
     solve_path,
 )
-from sparsefolio.oracles import oracle_sign_enumeration_many
+from oracles import oracle_sign_enumeration_many
 
 from conftest import unconstrained_instance
 

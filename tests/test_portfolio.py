@@ -1,5 +1,7 @@
 """Portfolio problem builders and path-based selection policies."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,7 @@ from sparsefolio import (
 )
 from sparsefolio.path_unconstrained import PathBreakpoint, Event, SolutionPath
 
-from conftest import markowitz_instance
+from conftest import factor_panel, markowitz_instance
 
 
 def month_grid(start, t):
@@ -448,6 +450,34 @@ def test_adjustment_of_an_optimum_is_zero():
     assert adj_path.breakpoints[0].tau <= tau_star * (1.0 + 1e-9)
     np.testing.assert_allclose(adj_path.eval_at(tau_star), np.zeros(4),
                                atol=1e-10)
+
+
+def test_adjustment_at_n100_certifies_in_bounded_time():
+    # the adjust command's shape at its largest size: equal-weight holdings
+    # over the trailing 60 months of a 100-asset factor panel; the zero-rhs
+    # start used to take about 15 s and 760 MB here
+    returns = factor_panel(0, 100, 432)[-60:]
+    panel = ReturnPanel(returns=returns, dates=month_grid((2001, 7), 60),
+                        asset_names=tuple(f"a{i}" for i in range(100)))
+    spec = spec_for(panel, rho=float(returns.mean(axis=1).mean()))
+    problem, cons = build_adjustment_problem(np.full(100, 0.01), spec)
+    t0 = time.perf_counter()
+    path = solve_portfolio_path(problem, cons)
+    assert time.perf_counter() - t0 < 5.0
+    R, y, A = problem.design, problem.target, cons.matrix
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(R.T @ y))))
+    for bp in path.breakpoints:
+        g = R.T @ (y - R @ bp.weights) + A.T @ bp.multipliers
+        nz = bp.weights != 0.0
+        half = bp.tau / 2.0
+        assert np.all(np.abs(g[nz] - half * np.sign(bp.weights[nz])) <= tol)
+        assert np.all(np.abs(g[~nz]) <= half + tol)
+        assert np.max(np.abs(A @ bp.weights)) <= 1e-10
+    start = path.breakpoints[0]
+    assert np.all(start.weights == 0.0)
+    # tau_0 is the smallest level the start certifies at: some bound is tight
+    g = R.T @ y + A.T @ start.multipliers
+    assert abs(float(np.max(np.abs(g))) - start.tau / 2.0) <= tol
 
 
 def test_adjustment_validation():
