@@ -30,8 +30,8 @@ from .backtest import (
 )
 from .errors import InputError, SolverError
 from .market_data import panel_from_csv, parse_ff_file
-from .path_constrained import AffineConstraints, solve_constrained_path
-from .path_unconstrained import PenalizedProblem, solve_path
+from .path_constrained import AffineConstraints, solve_constrained_path, solve_path
+from .path_unconstrained import PenalizedProblem
 from .portfolio import (
     HedgingScenario,
     MarkowitzSpec,

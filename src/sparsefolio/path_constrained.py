@@ -20,14 +20,21 @@ tau at once. The path is computed in two stages:
   2. Ordinary continuation in real arithmetic on the Lagrangian optimality
      system from tau_0 down to tau_stop, moving weights and multipliers
      jointly and recording a breakpoint at every support change. Segments
-     where only the multipliers move are recorded like any other.
+     where only the multipliers move are recorded like any other. Each step
+     solves the bordered direction system by LU (min-norm least squares
+     when that fails) and runs a vectorized ratio test.
+
+This is the package's one continuation engine: with no constraint rows it
+traces the unconstrained path, which `solve_path` reports.
 
 Penalty weights are handled by column rescaling; reported weights are in
 original coordinates while multipliers are invariant under the rescaling.
 """
 from __future__ import annotations
 
+import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +49,7 @@ from .errors import (
 from .path_unconstrained import (
     ZERO_TIE_REL,
     Event,
+    PathBreakpoint,
     PenalizedProblem,
     SolutionPath,
 )
@@ -51,8 +59,11 @@ __all__ = [
     "ConstrainedBreakpoint",
     "find_constrained_start",
     "solve_constrained_path",
+    "solve_path",
     "multipliers_at",
 ]
+
+log = logging.getLogger(__name__)
 
 _RESID_REL = 1e-9    # consistency gate for least-squares solves
 _COND_LIMIT = 1e12   # constraint rows closer to dependence than this are rejected
@@ -170,10 +181,13 @@ def _consistency_gate(rhs_scale: float, kappa: float) -> float:
 def _bordered_direction(GJJ: np.ndarray, AJ: np.ndarray, sigma: np.ndarray):
     """Weight and multiplier velocities of the Lagrangian continuation.
 
-    Solves [G_JJ, -A_J^T; A_J, 0] (u_J; s) = (sigma; 0). A consistent but
-    rank-deficient system takes the min-norm multipliers (the weight block is
-    then still unique on the data seen by the path); an inconsistent one
-    raises SingularActiveSystem.
+    Solves [G_JJ, -A_J^T; A_J, 0] (u_J; s) = (sigma; 0) by LU, kept when its
+    residual passes the plain consistency gate. Otherwise (a singular or
+    ill-conditioned system) the min-norm least-squares solution is taken: a
+    consistent but rank-deficient system gets the min-norm multipliers (the
+    weight block is then still unique on the data seen by the path), and an
+    inconsistent one raises SingularActiveSystem. The third value returned
+    tells whether that fallback ran.
     """
     k = len(sigma)
     m = AJ.shape[0]
@@ -182,13 +196,21 @@ def _bordered_direction(GJJ: np.ndarray, AJ: np.ndarray, sigma: np.ndarray):
     K[:k, k:] = -AJ.T
     K[k:, :k] = AJ
     rhs = np.concatenate([sigma, np.zeros(m)])
+    try:
+        x = np.linalg.solve(K, rhs)
+    except np.linalg.LinAlgError:  # exactly singular
+        pass
+    else:
+        resid = float(np.max(np.abs(K @ x - rhs), initial=0.0))
+        if resid <= _consistency_gate(float(np.max(np.abs(rhs), initial=0.0)), 1.0):
+            return x[:k], x[k:], False
     x, resid, kappa = _minnorm_solve(K, rhs)
     rhs_scale = max(float(np.max(np.abs(rhs), initial=0.0)),
                     float(np.max(np.abs(K), initial=0.0))
                     * float(np.max(np.abs(x), initial=0.0)))
     if resid > _consistency_gate(rhs_scale, kappa):
         raise SingularActiveSystem("bordered optimality system is inconsistent")
-    return x[:k], x[k:]
+    return x[:k], x[k:], True
 
 
 def _independent_columns(E: np.ndarray) -> np.ndarray:
@@ -531,24 +553,22 @@ def _initial_state(problem, constraints):
     return w, lam, tau0
 
 
-def _start_breakpoint(Rh, y, Ah, a, s, w, lam, tau0, tau_stop):
-    RtR = Rh.T @ Rh
+def _start_breakpoint(RtR, Rh, y, Ah, s, w, lam, tau0, tau_stop, counts):
+    """START breakpoint, working set, member signs and first direction.
+
+    Non-members carry sign 0 in the returned sign vector.
+    """
     b = Rh.T @ (y - Rh @ w) + Ah.T @ lam
     scale = max(1.0, float(np.max(np.abs(b), initial=0.0)), tau0)
     ztol = ZERO_TIE_REL * scale
     # members: every boundary index plus every index carrying weight;
     # only weightless members may be dropped by direction validation
-    J = sorted(set(
-        i for i in range(len(w)) if abs(b[i]) >= tau0 / 2.0 - ztol
-    ) | set(np.flatnonzero(w).tolist()))
-    sigma = {
-        i: (math.copysign(1.0, w[i]) if w[i] != 0.0
-            else (1.0 if b[i] >= 0 else -1.0))
-        for i in J
-    }
+    J = np.flatnonzero((np.abs(b) >= tau0 / 2.0 - ztol) | (w != 0.0)).tolist()
+    sign = np.zeros(len(w))
+    sign[J] = np.where(w[J] != 0.0, np.sign(w[J]), np.where(b[J] >= 0, 1.0, -1.0))
     if tau0 > tau_stop + ztol:
         entered = {i for i in J if w[i] == 0.0}
-        uJ, svec, J = _validated_real(RtR, Ah, J, sigma, entered, ztol)
+        uJ, svec, J = _validated_real(RtR, Ah, J, sign, entered, ztol, counts)
     else:
         uJ, svec = np.zeros(len(J)), np.zeros(Ah.shape[0])
     bp = ConstrainedBreakpoint(
@@ -559,27 +579,72 @@ def _start_breakpoint(Rh, y, Ah, a, s, w, lam, tau0, tau_stop):
         generalized_residual=b,
         event=Event("START", entered=tuple(sorted(J))),
     )
-    return bp, J, sigma, uJ, svec, b, ztol
+    return bp, J, sign, uJ, svec, b, ztol
 
 
-def _validated_real(RtR, Ah, J, sigma, entered, ztol):
+def _validated_real(RtR, Ah, J, sign, entered, ztol, counts):
+    """Direction on the working set J after tie validation.
+
+    Drops just-entered indices whose velocity opposes their sign, the
+    largest opposing velocity first, until the direction is consistent; a
+    dropped index gets sign 0. counts tallies direction solves and their
+    least-squares fallbacks.
+    """
     while True:
-        GJJ = RtR[np.ix_(J, J)]
-        AJ = Ah[:, J]
-        sig = np.array([sigma[j] for j in J])
-        uJ, svec = _bordered_direction(GJJ, AJ, sig)
-        worst = None
-        for idx, j in enumerate(J):
-            if j in entered and sigma[j] * uJ[idx] < -ztol:
-                mag = abs(uJ[idx])
-                if worst is None or mag > worst[0]:
-                    worst = (mag, j)
-        if worst is None:
+        sig = sign[J]
+        uJ, svec, fallback = _bordered_direction(RtR[np.ix_(J, J)], Ah[:, J], sig)
+        counts["solves"] += 1
+        counts["fallbacks"] += fallback
+        bad = np.isin(J, list(entered)) & (sig * uJ < -ztol)
+        if not bad.any():
             return uJ, svec, J
-        j = worst[1]
+        j = J[int(np.argmax(np.where(bad, np.abs(uJ), -np.inf)))]
         J = [x for x in J if x != j]
         entered.discard(j)
-        sigma.pop(j)
+        sign[j] = 0.0
+
+
+def _next_event(tau, tau_stop, b, v, w, J, uJ, sign, ztol):
+    """Ratio test: the step to the next breakpoint and who meets it there.
+
+    Along the direction, a non-member i enters when b_i + gamma v_i reaches
+    +-(tau/2 - gamma), and a member leaves when its weight reaches zero.
+    Returns None when no event comes before tau_stop; otherwise the smallest
+    step gamma with every candidate within ztol of it: entering indices in
+    index order with their signs (+1 before -1), then leaving indices in
+    working-set order.
+    """
+    off = sign == 0.0
+    half = tau / 2.0
+
+    def enter_steps(num, den):
+        ok = off & (den > ztol) & (num > ztol)
+        return np.divide(num, den, out=np.full(len(num), np.inf), where=ok)
+
+    up = enter_steps(half - b, 1.0 - v)
+    dn = enter_steps(half + b, 1.0 + v)
+    wJ = w[J]
+    out = np.divide(-wJ, uJ, out=np.full(len(J), np.inf),
+                    where=(wJ != 0.0) & (uJ != 0.0))
+    out[out <= ztol] = np.inf
+    best = float(min(up.min(initial=np.inf), dn.min(initial=np.inf),
+                     out.min(initial=np.inf)))
+    if best >= (tau - tau_stop) / 2.0 - ztol:
+        return None
+    enter = np.flatnonzero((up <= best + ztol) | (dn <= best + ztol))
+    enter_sign = np.where(up[enter] <= best + ztol, 1.0, -1.0)
+    left = np.asarray(J, dtype=int)[out <= best + ztol]
+    return best, enter, enter_sign, left
+
+
+def _check_off_support(b, sign, tau, ztol):
+    """Raise when a non-member's residual lies beyond the boundary +-tau/2."""
+    gap = float(np.max(np.abs(b[sign == 0.0]), initial=0.0)) - tau / 2.0
+    if gap > 1000.0 * ztol:
+        raise SolverError(
+            f"path left the optimum at tau = {tau:.6g}: a non-member's "
+            f"residual exceeds tau/2 by {gap:.3e}"
+        )
 
 
 def find_constrained_start(problem, constraints):
@@ -602,8 +667,8 @@ def find_constrained_start(problem, constraints):
     """
     w, lam, tau0 = _initial_state(problem, constraints)
     Rh, y, Ah, a, s = _prepare(problem, constraints)
-    bp, *_ = _start_breakpoint(Rh, y, Ah, a, s, w, lam, tau0,
-                               problem.tau_stop)
+    bp, *_ = _start_breakpoint(Rh.T @ Rh, Rh, y, Ah, s, w, lam, tau0,
+                               problem.tau_stop, Counter())
     return bp, tau0
 
 
@@ -614,98 +679,86 @@ def solve_constrained_path(problem, constraints, max_active=None):
     returned breakpoints; segments where only the multipliers move are
     recorded like any other breakpoint. Set max_active to end the path early
     once the working set reaches that size.
+
+    Raises:
+        SingularActiveSystem: a direction system is inconsistent.
+        SolverError: the start could not be built, a breakpoint leaves a
+            non-member beyond the boundary, or the breakpoint budget ran out.
     """
     w, lam, tau0 = _initial_state(problem, constraints)
     Rh, y, Ah, a, s = _prepare(problem, constraints)
     RtR = Rh.T @ Rh
     N = Rh.shape[1]
     tau_stop = problem.tau_stop
-    bp, J, sigma, uJ, svec, b, ztol = _start_breakpoint(
-        Rh, y, Ah, a, s, w, lam, tau0, tau_stop)
+    counts = Counter()
+    bp, J, sign, uJ, svec, b, ztol = _start_breakpoint(
+        RtR, Rh, y, Ah, s, w, lam, tau0, tau_stop, counts)
     bps = [bp]
-    fp = problem.fingerprint(extra=constraints.fingerprint_bytes())
-    tau = tau0
-    if tau0 <= tau_stop + ztol:
-        return SolutionPath(breakpoints=tuple(bps), problem_fingerprint=fp)
-
     budget = 60 * N + 120
-    for _ in range(budget):
+    tau = tau0
+    # every regular breakpoint lands above tau_stop + ztol; STOP ends the loop
+    while tau > tau_stop + ztol:
+        if len(bps) > budget:
+            raise SolverError("constrained path exceeded its breakpoint budget")
         if max_active is not None and len(J) >= max_active:
             break
         u = np.zeros(N)
         u[J] = uJ
         v = RtR @ u - Ah.T @ svec
-        gamma_stop = (tau - tau_stop) / 2.0
-
-        best = None
-        tied = []
-        for i in range(N):
-            if i in sigma:
-                continue
-            den = 1.0 - v[i]
-            num = tau / 2.0 - b[i]
-            if den > ztol and num > ztol:
-                g = num / den
-                if best is None or g < best - ztol:
-                    best, tied = g, [("enter", i, 1.0)]
-                elif g <= best + ztol:
-                    tied.append(("enter", i, 1.0))
-            den = 1.0 + v[i]
-            num = tau / 2.0 + b[i]
-            if den > ztol and num > ztol:
-                g = num / den
-                if best is None or g < best - ztol:
-                    best, tied = g, [("enter", i, -1.0)]
-                elif g <= best + ztol:
-                    tied.append(("enter", i, -1.0))
-        for idx, j in enumerate(J):
-            wj = w[j]
-            if wj != 0.0 and uJ[idx] != 0.0:
-                g = -wj / uJ[idx]
-                if g > ztol:
-                    if best is None or g < best - ztol:
-                        best, tied = g, [("leave", j, 0.0)]
-                    elif g <= best + ztol:
-                        tied.append(("leave", j, 0.0))
-
-        if best is None or best >= gamma_stop - ztol:
-            w = w + gamma_stop * u
-            lam = lam + gamma_stop * svec
+        hit = _next_event(tau, tau_stop, b, v, w, J, uJ, sign, ztol)
+        gamma = (tau - tau_stop) / 2.0 if hit is None else hit[0]
+        w = w + gamma * u
+        lam = lam + gamma * svec
+        if hit is None:
             tau = tau_stop
-            b = Rh.T @ (y - Rh @ w) + Ah.T @ lam
-            bps.append(ConstrainedBreakpoint(
-                tau=tau, weights=w / s, multipliers=lam.copy(),
-                active_set=tuple(sorted(J)), generalized_residual=b,
-                event=Event("STOP")))
-            break
-
-        w = w + best * u
-        lam = lam + best * svec
-        tau = tau - 2.0 * best
-        entered = set()
-        left = []
-        for kind, i, bnd in tied:
-            if kind == "leave":
-                if i in sigma:
-                    w[i] = 0.0
-                    J = [x for x in J if x != i]
-                    sigma.pop(i)
-                    left.append(i)
-            else:
-                if i not in sigma:
-                    J = J + [i]
-                    sigma[i] = bnd
-                    entered.add(i)
+            event = Event("STOP")
+        else:
+            _, enter, enter_sign, left = hit
+            tau = tau - 2.0 * gamma
+            w[left] = 0.0  # crossings land exactly on zero
+            sign[left] = 0.0
+            J = [j for j in J if sign[j] != 0.0] + enter.tolist()
+            sign[enter] = enter_sign
         b = Rh.T @ (y - Rh @ w) + Ah.T @ lam
-        uJ, svec, J = _validated_real(RtR, Ah, J, sigma, set(entered), ztol)
-        entered &= set(J)
-        kind = "ENTER" if entered else "LEAVE"
+        if hit is not None:
+            uJ, svec, J = _validated_real(RtR, Ah, J, sign, set(enter.tolist()),
+                                          ztol, counts)
+            entered = sorted(set(enter.tolist()) & set(J))
+            event = Event("ENTER" if entered else "LEAVE", entered=tuple(entered),
+                          left=tuple(sorted(left.tolist())))
+        _check_off_support(b, sign, tau, ztol)
         bps.append(ConstrainedBreakpoint(
             tau=tau, weights=w / s, multipliers=lam.copy(),
-            active_set=tuple(sorted(J)), generalized_residual=b,
-            event=Event(kind, entered=tuple(sorted(entered)),
-                        left=tuple(sorted(left)))))
-    else:
-        raise SolverError("constrained path exceeded its breakpoint budget")
-
+            active_set=tuple(sorted(J)), generalized_residual=b, event=event))
+    log.debug("continuation: %d breakpoints, %d direction solves, "
+              "%d least-squares fallbacks",
+              len(bps), counts["solves"], counts["fallbacks"])
+    fp = problem.fingerprint(extra=constraints.fingerprint_bytes())
     return SolutionPath(breakpoints=tuple(bps), problem_fingerprint=fp)
+
+
+def solve_path(problem, max_active=None):
+    """Every breakpoint of the unconstrained path, from tau_0 to tau_stop.
+
+    Runs the continuation engine with no constraint rows and reports each
+    breakpoint as a PathBreakpoint, whose residual_corr is R^T(y - R w) on
+    the penalty-rescaled design. The first breakpoint has zero weights at
+    tau = initial_tau(problem); the last sits at tau_stop (event STOP)
+    unless max_active truncated the path. When zero is already optimal at
+    tau_stop (in particular for y = 0) the path is one START breakpoint at
+    tau_stop with an empty active set.
+    """
+    c = problem.scaled_design().T @ problem.target
+    fp = problem.fingerprint()
+    if 2.0 * float(np.max(np.abs(c))) <= problem.tau_stop:
+        only = PathBreakpoint(tau=problem.tau_stop, weights=np.zeros(len(c)),
+                              residual_corr=c, active_set=(), event=Event("START"))
+        return SolutionPath(breakpoints=(only,), problem_fingerprint=fp)
+    n = problem.n_assets
+    path = solve_constrained_path(
+        problem, AffineConstraints(np.zeros((0, n)), np.zeros(0)), max_active)
+    return SolutionPath(breakpoints=tuple(
+        PathBreakpoint(tau=float(bp.tau), weights=bp.weights,
+                       residual_corr=bp.generalized_residual,
+                       active_set=bp.active_set, event=bp.event)
+        for bp in path.breakpoints), problem_fingerprint=fp)

@@ -1,23 +1,24 @@
-"""Exact solution path for l1-penalized least squares, no constraints.
+"""Types of the l1-penalized least-squares path, with no constraints.
 
-Traces the piecewise-linear minimizer path of
+The problem is
 
     min_w ||R w - y||^2 + tau * sum_i s_i |w_i|
 
-for tau descending from the first value at which w = 0 down to ``tau_stop``,
-by active-set continuation: between breakpoints the minimizer moves along a
-fixed direction, and a breakpoint occurs whenever a component's residual
-correlation hits the boundary (an index enters) or a weight crosses zero (an
-index leaves).
+and its minimizer is piecewise linear in tau. This module holds the problem
+(`PenalizedProblem`), the path and its breakpoints (`SolutionPath`,
+`PathBreakpoint`, `Event`), the start level `initial_tau` and the
+interpolation `eval_at`. The path itself is computed by the one
+continuation engine in `path_constrained`, whose `solve_path` runs it with
+no constraint rows.
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, SingularActiveSystem, SolverError, TauBelowStop
+from .errors import InputError, TauBelowStop
 
 __all__ = [
     "PenalizedProblem",
@@ -25,12 +26,10 @@ __all__ = [
     "Event",
     "SolutionPath",
     "initial_tau",
-    "solve_path",
     "eval_at",
 ]
 
 ZERO_TIE_REL = 1e-12  # zero/tie tolerance, relative to max|R^T y|
-_SV_CUTOFF = 1e-12    # singular-value ratio below which the active system is singular
 
 
 def _as_matrix(x, name: str) -> np.ndarray:
@@ -173,157 +172,6 @@ def initial_tau(problem: PenalizedProblem) -> float:
     """
     c = problem.scaled_design().T @ problem.target
     return 2.0 * float(np.max(np.abs(c))) if c.size else 0.0
-
-
-def _solve_active(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the active-set normal system, raising when numerically singular."""
-    if G.shape[0] == 0:
-        return np.zeros(0)
-    sv = np.linalg.svd(G, compute_uv=False)
-    if sv[-1] <= _SV_CUTOFF * sv[0] or sv[0] == 0.0:
-        raise SingularActiveSystem(
-            f"active normal matrix is numerically singular (|J| = {G.shape[0]})"
-        )
-    return np.linalg.solve(G, rhs)
-
-
-def _validated_direction(
-    G: np.ndarray, b: np.ndarray, J: list[int], entered: list[int], ztol: float
-) -> tuple[list[int], list[int], np.ndarray]:
-    """Direction solve with tie validation.
-
-    Solves G_JJ u_J = sgn(b_J) on the tentative working set, then drops
-    just-entered indices whose direction component disagrees with their
-    residual sign (worst violator first) until the direction is consistent.
-    """
-    J = list(J)
-    entered = list(entered)
-    while True:
-        sigma = np.sign(b[J])
-        u = _solve_active(G[np.ix_(J, J)], sigma)
-        viol = [
-            (float(-u[J.index(i)] * np.sign(b[i])), i)
-            for i in entered
-            if -u[J.index(i)] * np.sign(b[i]) > ztol
-        ]
-        if not viol:
-            return J, entered, u
-        _, worst = max(viol)
-        J.remove(worst)
-        entered.remove(worst)
-
-
-def solve_path(problem: PenalizedProblem, max_active: int | None = None) -> SolutionPath:
-    """Compute every breakpoint from the path start down to ``tau_stop``.
-
-    Parameters
-    ----------
-    problem : PenalizedProblem
-    max_active : int, optional
-        Stop early once the working set reaches this size (the final recorded
-        breakpoint is the one where it is reached).
-
-    Returns
-    -------
-    SolutionPath
-        First breakpoint has zero weights at tau = initial_tau(problem); the
-        last sits at tau_stop (event STOP) unless max_active truncated the
-        path. Raises SingularActiveSystem when the active normal matrix is
-        numerically singular.
-    """
-    Rt = problem.scaled_design()
-    y = problem.target
-    s = problem.penalty_weights
-    tau_stop = problem.tau_stop
-    N = Rt.shape[1]
-    fingerprint = problem.fingerprint()
-
-    G = Rt.T @ Rt
-    c = Rt.T @ y
-    scale = float(np.max(np.abs(c))) if c.size else 0.0
-    tau0 = 2.0 * scale
-
-    def bp(tau, w_hat, b, J, event):
-        # unscale the weights; off-J entries stay exact zeros
-        return PathBreakpoint(
-            tau=float(tau),
-            weights=w_hat / s,
-            residual_corr=b.copy(),
-            active_set=tuple(sorted(J)),
-            event=event,
-        )
-
-    if tau0 <= tau_stop or scale == 0.0:
-        # zero is already optimal at tau_stop (in particular for y = 0)
-        only = bp(max(tau_stop, 0.0), np.zeros(N), c.copy(), (), Event("START"))
-        return SolutionPath(breakpoints=(only,), problem_fingerprint=fingerprint)
-
-    ztol = ZERO_TIE_REL * scale
-    w = np.zeros(N)
-    b = c.copy()
-    tau = tau0
-
-    start_ties = [i for i in range(N) if abs(abs(b[i]) - tau / 2.0) <= ztol]
-    J, _, u = _validated_direction(G, b, start_ties, start_ties, ztol)
-    breakpoints = [bp(tau, w, b, J, Event("START", entered=tuple(sorted(J))))]
-
-    budget = 60 * N + 120
-    for _ in range(budget):
-        if max_active is not None and len(J) >= max_active:
-            break
-        sigma = np.sign(b[J])
-        u = _solve_active(G[np.ix_(J, J)], sigma)
-        v = Rt.T @ (Rt[:, J] @ u)
-
-        gamma_stop = (tau - tau_stop) / 2.0
-        best = gamma_stop
-        enter_hits: list[tuple[float, int]] = []
-        leave_hits: list[tuple[float, int]] = []
-        off = [i for i in range(N) if i not in J]
-        for i in off:
-            for num, den in ((tau / 2.0 - b[i], 1.0 - v[i]), (tau / 2.0 + b[i], 1.0 + v[i])):
-                if den <= ztol:
-                    continue
-                g = num / den
-                if g > ztol:
-                    enter_hits.append((g, i))
-        for idx, j in enumerate(J):
-            if w[j] != 0.0 and u[idx] != 0.0:
-                g = -w[j] / u[idx]
-                if g > ztol:
-                    leave_hits.append((g, j))
-        events = enter_hits + leave_hits
-        if events:
-            best = min(best, min(g for g, _ in events))
-
-        if best >= gamma_stop - ztol:
-            # no boundary event before tau_stop: close the path there
-            w = w.copy()
-            w[J] += gamma_stop * u
-            b = c - G @ w
-            tau = tau_stop
-            breakpoints.append(bp(tau, w, b, J, Event("STOP")))
-            return SolutionPath(tuple(breakpoints), fingerprint)
-
-        entered = sorted(i for g, i in enter_hits if g <= best + ztol)
-        left = sorted(j for g, j in leave_hits if g <= best + ztol)
-        w = w.copy()
-        w[J] += best * u
-        tau -= 2.0 * best
-        for j in left:
-            w[j] = 0.0  # crossings land exactly on zero
-        J_new = [j for j in J if j not in left] + entered
-        b = c - G @ w
-        J, entered, u = _validated_direction(G, b, J_new, entered, ztol)
-        kind = "ENTER" if entered else "LEAVE"
-        breakpoints.append(
-            bp(tau, w, b, J, Event(kind, entered=tuple(entered), left=tuple(left)))
-        )
-    else:
-        raise SolverError(
-            f"breakpoint budget exhausted after {budget} steps; instance likely degenerate"
-        )
-    return SolutionPath(tuple(breakpoints), fingerprint)
 
 
 def eval_at(path: SolutionPath, tau: float) -> np.ndarray:

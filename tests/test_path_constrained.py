@@ -1,13 +1,17 @@
 """Equality-constrained path: start portfolio, continuation, certificates."""
 
+import logging
+
 import numpy as np
 import pytest
 
+import sparsefolio.path_constrained as path_constrained
 from sparsefolio import (
     AffineConstraints,
     InfeasibleConstraints,
     InputError,
     PenalizedProblem,
+    SolverError,
     TauBelowStop,
     find_constrained_start,
     multipliers_at,
@@ -273,8 +277,8 @@ def test_l1_monotonicity_product(seed):
 
 
 def test_unconstrained_route_equivalence():
-    # m = 0 must reproduce the dedicated unconstrained solver breakpoint
-    # for breakpoint
+    # solve_path, the m = 0 wrapper, must report the engine's breakpoints
+    # one for one
     for seed in range(8):
         rng = np.random.default_rng(8800 + seed)
         N = int(rng.integers(2, 7))
@@ -394,3 +398,78 @@ def test_stationarity_holds_between_breakpoints():
         lam = multipliers_at(path, tau)
         b = Rh.T @ (problem.target - problem.design @ w) + Ah.T @ lam
         assert np.max(np.abs(b)) <= tau / 2.0 + 1e-9 * max(1.0, tau0)
+
+
+# --- continuation engine: direction fallback, guard, trace ---
+
+def duplicate_column_problem():
+    # columns e1, e2, e3, e3: once both copies of e3 are in the working set
+    # the active normal matrix is singular, though the direction system
+    # stays consistent
+    R = np.array([[1.0, 0.0, 0.0, 0.0],
+                  [0.0, 1.0, 0.0, 0.0],
+                  [0.0, 0.0, 1.0, 1.0],
+                  [0.0, 0.0, 0.0, 0.0]])
+    return PenalizedProblem(design=R, target=np.array([3.0, 1.0, 2.0, 0.5]))
+
+
+def test_singular_consistent_active_system_takes_min_norm_direction():
+    problem = duplicate_column_problem()
+    path = solve_path(problem)
+    routed = solve_constrained_path(problem, no_constraints(4))
+    for bp in routed.breakpoints:
+        assert certificate_violation(problem, None, bp) <= 1e-9
+    assert [bp.tau for bp in path.breakpoints] == [6.0, 4.0, 2.0, 0.0]
+    assert path.breakpoints[1].event.entered == (2, 3)
+    np.testing.assert_allclose(path.breakpoints[-1].weights, [3.0, 1.0, 1.0, 1.0],
+                               atol=1e-12)
+
+
+def test_short_panel_path_certifies():
+    # T < N: at most T weights can move independently
+    rng = np.random.default_rng(1)
+    problem = PenalizedProblem(design=rng.standard_normal((3, 6)),
+                               target=rng.standard_normal(3))
+    path = solve_constrained_path(problem, no_constraints(6))
+    assert "LEAVE" in [bp.event.kind for bp in path.breakpoints]
+    for bp in path.breakpoints:
+        assert certificate_violation(problem, None, bp) <= 1e-9
+    end = path.breakpoints[-1]
+    assert end.tau == 0.0
+    np.testing.assert_allclose(problem.design @ end.weights, problem.target,
+                               atol=1e-10)
+
+
+def test_spurious_leave_raises(monkeypatch):
+    # drop a just-entered, correctly signed member at its entry: its
+    # residual then runs past the boundary, which the engine must report
+    # rather than return an off-path breakpoint
+    real = path_constrained._validated_real
+    calls = []
+
+    def spurious(RtR, Ah, J, sign, entered, *rest):
+        calls.append(sorted(entered))
+        if len(calls) == 2:
+            j = min(entered)
+            J = [x for x in J if x != j]
+            entered.discard(j)
+            sign[j] = 0.0
+        return real(RtR, Ah, J, sign, entered, *rest)
+
+    problem = PenalizedProblem(design=np.eye(3), target=np.array([3.0, 2.0, 1.0]))
+    monkeypatch.setattr(path_constrained, "_validated_real", spurious)
+    with pytest.raises(SolverError, match="left the optimum"):
+        solve_constrained_path(problem, no_constraints(3))
+    assert calls[1] == [1]
+
+
+def test_engine_logs_one_debug_record_per_path(caplog):
+    caplog.set_level(logging.DEBUG, logger="sparsefolio.path_constrained")
+    solve_path(PenalizedProblem(design=np.eye(2), target=np.array([3.0, 1.0])))
+    solve_path(duplicate_column_problem())
+    messages = [r.getMessage() for r in caplog.records
+                if r.name == "sparsefolio.path_constrained"]
+    assert messages == [
+        "continuation: 3 breakpoints, 2 direction solves, 0 least-squares fallbacks",
+        "continuation: 4 breakpoints, 3 direction solves, 2 least-squares fallbacks",
+    ]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sparsefolio import (
+    Event,
     InputError,
     PenalizedProblem,
     TauBelowStop,
@@ -82,7 +83,33 @@ def test_zero_target_single_breakpoint():
     assert len(path.breakpoints) == 1
     bp = path.breakpoints[0]
     assert bp.tau == 0.0
+    assert bp.active_set == ()
+    assert bp.event == Event("START")
     assert np.all(bp.weights == 0.0)
+
+
+def test_identity_tie_enters_together():
+    path = solve_path(PenalizedProblem(design=np.eye(3),
+                                       target=np.array([2.0, 2.0, 1.0])))
+    bps = path.breakpoints
+    assert [bp.tau for bp in bps] == [4.0, 2.0, 0.0]
+    assert [bp.event.kind for bp in bps] == ["START", "ENTER", "STOP"]
+    assert bps[0].event.entered == (0, 1)
+    assert bps[0].active_set == (0, 1)
+    assert bps[1].event.entered == (2,)
+    np.testing.assert_allclose(bps[-1].weights, [2.0, 2.0, 1.0], atol=1e-14)
+
+
+@pytest.mark.parametrize("tau_stop", [6.0, 7.5])
+def test_stop_at_or_above_tau0_is_one_empty_start(tau_stop):
+    p = PenalizedProblem(design=np.eye(3), target=np.array([3.0, 1.0, 0.0]),
+                         tau_stop=tau_stop)
+    (bp,) = solve_path(p).breakpoints
+    assert bp.tau == tau_stop
+    assert bp.active_set == ()
+    assert bp.event == Event("START")
+    assert np.all(bp.weights == 0.0)
+    np.testing.assert_array_equal(bp.residual_corr, [3.0, 1.0, 0.0])
 
 
 def test_endpoint_is_least_squares():
