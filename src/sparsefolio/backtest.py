@@ -14,6 +14,7 @@ percent figures in the CSV tables are produced at presentation time only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -38,6 +39,7 @@ __all__ = [
     "BacktestReport",
     "run_exercise",
     "run_k_sweep",
+    "k_sweep",
     "compute_stats",
     "default_evaluation_periods",
     "report_to_dict",
@@ -181,16 +183,20 @@ def _stats_or_none(series: MonthlySeries, period: tuple):
 class BacktestReport:
     """Everything the exercise produced, per year and pooled.
 
-    selections holds one PortfolioSelection per construction year, None for
-    years whose policy failed; each failure is recorded as (year, error
-    class name, message). series/benchmark_series are the pooled monthly
-    returns of the strategy and the evenly weighted portfolio; stats and
-    benchmark_stats line up with evaluation_periods (None entries mark
-    periods whose pooled statistics were uncomputable).
+    constructions holds one (problem, path, holding panel) per construction
+    year, or the InputError/SolverError its window, build or solve raised
+    (its target_returns entry is None if no target was reached). selections
+    holds one PortfolioSelection per year, None for failed years; each
+    construction or policy failure is recorded as (year, error class name,
+    message). series/benchmark_series are the pooled monthly returns of the
+    strategy and the evenly weighted portfolio; stats and benchmark_stats
+    line up with evaluation_periods (None entries mark periods whose pooled
+    statistics were uncomputable).
     """
 
     years: tuple
     target_returns: tuple
+    constructions: tuple
     selections: tuple
     failures: tuple
     series: MonthlySeries
@@ -209,23 +215,27 @@ def _apply_policy(path, problem, policy: Policy) -> PortfolioSelection:
     return select_binned(path, problem, policy.k_min, policy.k_max)
 
 
-def _year_data(panel: ReturnPanel, config: BacktestConfig):
-    """Per construction year: (year, rho, problem, path, holding panel)."""
-    out = []
-    first_y = config.first_construction[0]
-    last_y = config.last_construction[0]
-    for year in range(first_y, last_y + 1):
-        train_start = add_months((year, 6), -(config.training_months - 1))
-        train = window(panel, train_start, config.training_months)
-        # target: what the evenly weighted portfolio averaged over training
-        rho = float(train.returns.mean(axis=1).mean())
-        problem, constraints = build_markowitz_problem(
-            MarkowitzSpec(target_return=rho, training_panel=train)
-        )
-        path = solve_portfolio_path(problem, constraints)
-        hold = window(panel, (year, 7), 12)
-        out.append((year, rho, problem, path, hold))
-    return out
+def _pool(years, constructions, select):
+    """(selections, failures, pooled series) of select(path, problem)."""
+    selections, failures, months, values = [], [], [], []
+    for year, built in zip(years, constructions):
+        sel = error = None
+        if isinstance(built, Exception):
+            error = built
+        else:
+            problem, path, hold = built
+            try:
+                sel = select(path, problem)
+            except SolverError as exc:
+                error = exc
+        selections.append(sel)
+        if error is not None:
+            failures.append((year, type(error).__name__, str(error)))
+        else:
+            months.extend(hold.dates)
+            values.extend(hold.returns @ sel.weights)
+    series = MonthlySeries(months=tuple(months), values=np.array(values))
+    return tuple(selections), tuple(failures), series
 
 
 def run_exercise(panel: ReturnPanel, config: BacktestConfig) -> BacktestReport:
@@ -234,82 +244,71 @@ def run_exercise(panel: ReturnPanel, config: BacktestConfig) -> BacktestReport:
     Every construction June: train on the trailing window, solve the
     constrained path, apply the configured policy, then record the selected
     portfolio's return for each of the following 12 months. A year whose
-    policy fails is recorded in failures and contributes no strategy
-    returns; the benchmark series always covers all months.
+    window, build, solve or policy fails is recorded in failures and
+    contributes no strategy returns; the benchmark series covers every
+    holding window that exists.
     """
     periods = (config.evaluation_periods
                if config.evaluation_periods is not None
                else default_evaluation_periods(config))
-    years, rhos, selections, failures = [], [], [], []
-    strat_months, strat_vals = [], []
-    bench_months, bench_vals = [], []
-    for year, rho, problem, path, hold in _year_data(panel, config):
-        years.append(year)
-        rhos.append(rho)
+    years = range(config.first_construction[0], config.last_construction[0] + 1)
+    rhos, constructions, bench_months, bench_vals = [], [], [], []
+    for year in years:
+        rho = None
         try:
-            sel = _apply_policy(path, problem, config.policy)
-        except SolverError as exc:
-            selections.append(None)
-            failures.append((year, type(exc).__name__, str(exc)))
-            sel = None
-        else:
-            selections.append(sel)
-        if sel is not None:
-            strat_months.extend(hold.dates)
-            strat_vals.extend(hold.returns @ sel.weights)
-        bench_months.extend(hold.dates)
-        bench_vals.extend(hold.returns.mean(axis=1))
-    series = MonthlySeries(months=tuple(strat_months), values=np.array(strat_vals))
+            hold = window(panel, (year, 7), 12)
+            bench_months.extend(hold.dates)
+            bench_vals.extend(hold.returns.mean(axis=1))
+            train = window(panel, add_months((year, 6), 1 - config.training_months),
+                           config.training_months)
+            # target: what the evenly weighted portfolio averaged over training
+            rho = float(train.returns.mean(axis=1).mean())
+            problem, constraints = build_markowitz_problem(
+                MarkowitzSpec(target_return=rho, training_panel=train)
+            )
+            constructions.append(
+                (problem, solve_portfolio_path(problem, constraints), hold))
+        except (InputError, SolverError) as exc:
+            constructions.append(exc)
+        rhos.append(rho)
+    selections, failures, series = _pool(
+        years, constructions, partial(_apply_policy, policy=config.policy))
     bench = MonthlySeries(months=tuple(bench_months), values=np.array(bench_vals))
-    stats = tuple(_stats_or_none(series, p) for p in periods)
-    bench_stats = tuple(_stats_or_none(bench, p) for p in periods)
     return BacktestReport(
         years=tuple(years),
         target_returns=tuple(rhos),
-        selections=tuple(selections),
-        failures=tuple(failures),
+        constructions=tuple(constructions),
+        selections=selections,
+        failures=failures,
         series=series,
         benchmark_series=bench,
         evaluation_periods=periods,
-        stats=stats,
-        benchmark_stats=bench_stats,
+        stats=tuple(_stats_or_none(series, p) for p in periods),
+        benchmark_stats=tuple(_stats_or_none(bench, p) for p in periods),
         policy=config.policy,
     )
 
 
-def run_k_sweep(panel: ReturnPanel, config: BacktestConfig,
-                k_min: int, k_max: int):
+def k_sweep(report: BacktestReport, k_min: int, k_max: int):
     """Full-period Sharpe of the exact-k strategy for each k in the range.
 
-    Reuses one path per construction year across all k. Returns a list of
-    (k, PerformanceStats or None); a k unattained in some year (or with
-    degenerate pooled statistics) yields None rather than a partial pool.
+    Reuses the exercise's paths. Returns a list of (k, PerformanceStats or
+    None); a k unattained in some year, a failed construction year, or
+    degenerate pooled statistics yield None rather than a partial pool.
     """
-    data = _year_data(panel, config)
-    full = (default_evaluation_periods(config)
-            if config.evaluation_periods is None
-            else config.evaluation_periods)[0]
+    full = report.evaluation_periods[0]
     out = []
     for k in range(int(k_min), int(k_max) + 1):
-        months, vals = [], []
-        complete = True
-        for year, rho, problem, path, hold in data:
-            try:
-                sel = select_exact_k(path, problem, k)
-            except SolverError:
-                complete = False
-                break
-            months.extend(hold.dates)
-            vals.extend(hold.returns @ sel.weights)
-        if not complete:
-            out.append((k, None))
-            continue
-        series = MonthlySeries(months=tuple(months), values=np.array(vals))
-        try:
-            out.append((k, compute_stats(series, full)))
-        except (InputError, ZeroVolatility):
-            out.append((k, None))
+        _, failures, series = _pool(report.years, report.constructions,
+                                    partial(select_exact_k, k=k))
+        out.append((k, None if failures else _stats_or_none(series, full)))
     return out
+
+
+def run_k_sweep(panel: ReturnPanel, config: BacktestConfig,
+                k_min: int, k_max: int):
+    """k_sweep over a fresh run_exercise(panel, config)."""
+    return k_sweep(run_exercise(panel, config), k_min, k_max)
 
 
 # --- presentation ---
@@ -342,7 +341,8 @@ def report_to_dict(report: BacktestReport) -> dict:
     return {
         "policy": report.policy.label,
         "years": list(report.years),
-        "target_returns": [float(r) for r in report.target_returns],
+        "target_returns": [None if r is None else float(r)
+                           for r in report.target_returns],
         "selections": sel_rows,
         "failures": [
             {"year": y, "error": name, "message": msg}
@@ -363,8 +363,8 @@ def report_to_dict(report: BacktestReport) -> dict:
     }
 
 
-def _pct(x: float, paper_mode: bool) -> str:
-    # presentation-only percent form of a stored decimal figure
+def pct_cell(x: float, paper_mode: bool) -> str:
+    """Presentation-only percent form of a stored decimal figure."""
     if paper_mode:
         return str(int(round(100.0 * x)))
     return f"{100.0 * x:.1f}"
@@ -388,9 +388,9 @@ def stats_table_csv(report: BacktestReport, paper_mode: bool = False) -> str:
                 cells += ["", "", ""]
             else:
                 cells += [
-                    _pct(block.mean_monthly, paper_mode),
-                    _pct(block.std_monthly, paper_mode),
-                    _pct(block.sharpe, paper_mode),
+                    pct_cell(block.mean_monthly, paper_mode),
+                    pct_cell(block.std_monthly, paper_mode),
+                    pct_cell(block.sharpe, paper_mode),
                 ]
         lines.append(period + "," + ",".join(cells))
     return "\n".join(lines) + "\n"

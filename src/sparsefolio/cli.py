@@ -22,9 +22,10 @@ from . import jsonio
 from .backtest import (
     BacktestConfig,
     active_counts_csv,
+    k_sweep,
+    pct_cell,
     report_to_dict,
     run_exercise,
-    run_k_sweep,
     sharpe_vs_k_csv,
     stats_table_csv,
 )
@@ -267,17 +268,12 @@ def cmd_backtest(args) -> int:
     _write_text(args.out, "active_counts.csv", active_counts_csv(report))
     if args.k_sweep is not None:
         lo, hi = _parse_pair(args.k_sweep, "--k-sweep")
-        sweep = run_k_sweep(panel, config, lo, hi)
-        _write_text(args.out, "sharpe_vs_k.csv", sharpe_vs_k_csv(sweep))
+        _write_text(args.out, "sharpe_vs_k.csv",
+                    sharpe_vs_k_csv(k_sweep(report, lo, hi)))
     full = report.stats[0]
     if full is not None:
-        if paper:
-            cells = [str(int(round(100.0 * v)))
-                     for v in (full.mean_monthly, full.std_monthly, full.sharpe)]
-        else:
-            cells = [f"{100.0 * v:.1f}"
-                     for v in (full.mean_monthly, full.std_monthly, full.sharpe)]
-        print(" ".join(cells))
+        print(" ".join(pct_cell(v, paper)
+                       for v in (full.mean_monthly, full.std_monthly, full.sharpe)))
     return 0
 
 

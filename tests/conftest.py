@@ -12,7 +12,12 @@ try:
 except ImportError:  # running from a checkout without an installed package
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sparsefolio import AffineConstraints, PenalizedProblem
+from sparsefolio import (
+    AffineConstraints,
+    PenalizedProblem,
+    ReturnPanel,
+    add_months,
+)
 
 
 def no_constraints(n):
@@ -83,6 +88,20 @@ def factor_panel(seed, n_assets, n_months):
     loadings = 1.0 + 0.3 * rng.standard_normal((n_assets, 3))
     eps = rng.standard_normal((n_months, n_assets))
     return 0.12 + f @ loadings.T + 0.2 * eps
+
+
+def degenerate_1979_panel(seed=13):
+    """Three assets over 1976-07..1980-06 that differ only in the first year.
+
+    With 24-month training windows, 1978 trains on distinct column means and
+    1979 on equal ones, so the 1979 build raises DegeneratePanel.
+    """
+    rng = np.random.default_rng(seed)
+    r = np.repeat(0.05 * rng.standard_normal((48, 1)) + 0.01, 3, axis=1)
+    r[:12] += 0.05 * rng.standard_normal((12, 3))
+    return ReturnPanel(returns=r,
+                       dates=tuple(add_months((1976, 7), k) for k in range(48)),
+                       asset_names=("A0", "A1", "A2"))
 
 
 def unconstrained_instance(seed, weighted=False):

@@ -1,18 +1,25 @@
 """Rolling construction exercise, pooled statistics, presentation tables."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsefolio import (
     BacktestConfig,
+    DegeneratePanel,
     InputError,
     MonthlySeries,
     Policy,
     ReturnPanel,
+    SolverError,
     ZeroVolatility,
     add_months,
     compute_stats,
     default_evaluation_periods,
+    k_sweep,
     run_exercise,
     run_k_sweep,
 )
@@ -22,7 +29,9 @@ from sparsefolio.backtest import (
     sharpe_vs_k_csv,
     stats_table_csv,
 )
-from sparsefolio import jsonio
+from sparsefolio import errors, jsonio
+
+from conftest import degenerate_1979_panel
 
 
 def month_grid(start, t):
@@ -222,6 +231,36 @@ def test_exercise_reports_failed_years():
     jsonio.dumps(payload)  # must serialize
 
 
+def test_exercise_records_failed_construction_year():
+    report = run_exercise(degenerate_1979_panel(), two_year_config())
+    error = report.constructions[1]
+    assert isinstance(error, DegeneratePanel)
+    assert report.failures == ((1979, "DegeneratePanel", str(error)),)
+    assert report.selections[0] is not None and report.selections[1] is None
+    assert report.series.months == month_grid((1978, 7), 12)
+    # the 1979 holding window exists, so the benchmark keeps its months
+    assert len(report.benchmark_series.months) == 24
+    jsonio.dumps(report_to_dict(report))
+
+
+def test_exercise_records_gap_in_training_window():
+    panel = exercise_panel(seed=14)
+    drop = panel.dates.index((1977, 3))  # inside 1978's window only
+    gapped = ReturnPanel(returns=np.delete(panel.returns, drop, axis=0),
+                         dates=panel.dates[:drop] + panel.dates[drop + 1:],
+                         asset_names=panel.asset_names)
+    report = run_exercise(gapped, two_year_config())
+    assert [(y, name) for y, name, _ in report.failures] == [
+        (1978, "WindowOutOfRange")]
+    assert report.target_returns[0] is None
+    assert report.selections[1] is not None
+    assert len(report.series.months) == 12
+    assert len(report.benchmark_series.months) == 24
+    payload = json.loads(jsonio.dumps(report_to_dict(report)))
+    assert payload["target_returns"][0] is None
+    assert payload["failures"][0]["error"] == "WindowOutOfRange"
+
+
 # --- presentation ---
 
 def test_stats_table_formats():
@@ -292,3 +331,71 @@ def test_k_sweep_matches_exercise_for_attained_k():
         report = run_exercise(panel, two_year_config(policy=Policy.exact_k(k)))
         full = report.stats[0]
         assert abs(full.sharpe - st.sharpe) <= 1e-15
+
+
+def test_k_sweep_after_failed_construction_is_all_none():
+    report = run_exercise(degenerate_1979_panel(), two_year_config())
+    assert k_sweep(report, 1, 3) == [(1, None), (2, None), (3, None)]
+
+
+# --- adversarial panels ---
+
+ADVERSARIAL = ("duplicate", "collinear", "constant", "short-window",
+               "near-equal-means", "gap")
+
+
+def adversarial_exercise(seed, n, cases):
+    """(panel, config) of a two-year exercise with the given defects.
+
+    near-equal-means makes every column one series plus noise of a scale
+    drawn across 1e-15..1e-5, so the column means straddle the degeneracy
+    threshold and the target (their average) sits at the edge of their
+    span; short-window trains on fewer months than assets.
+    """
+    rng = np.random.default_rng(seed)
+    r = 0.05 * rng.standard_normal((48, n)) + 0.01
+    if "near-equal-means" in cases:
+        r = r[:, :1] + 10.0 ** rng.uniform(-15, -5) * rng.standard_normal((48, n))
+    if n >= 2 and "duplicate" in cases:
+        i, j = rng.choice(n, 2, replace=False)
+        r[:, j] = r[:, i]
+    if n >= 2 and "collinear" in cases:
+        i, j = rng.choice(n, 2, replace=False)
+        r[:, j] = rng.uniform(-2.0, 2.0) * r[:, i] + rng.uniform(-0.1, 0.1)
+    if "constant" in cases:
+        r[:, rng.integers(n)] = rng.uniform(-0.05, 0.05)
+    dates = list(month_grid((1976, 7), 48))
+    if "gap" in cases:
+        drop = int(rng.integers(1, 47))
+        r = np.delete(r, drop, axis=0)
+        del dates[drop]
+    training = 24
+    if "short-window" in cases:
+        training = int(rng.integers(2, max(n, 3)))
+    panel = ReturnPanel(returns=r, dates=tuple(dates),
+                        asset_names=tuple(f"A{k}" for k in range(n)))
+    config = BacktestConfig(first_construction=(1978, 6),
+                            last_construction=(1979, 6),
+                            training_months=training)
+    return panel, config
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       cases=st.sets(st.sampled_from(ADVERSARIAL), max_size=3))
+def test_adversarial_panels_end_in_a_report(seed, n, cases):
+    panel, config = adversarial_exercise(seed, n, cases)
+    report = run_exercise(panel, config)
+    sweep = k_sweep(report, 1, n + 1)
+    assert [k for k, _ in sweep] == list(range(1, n + 2))
+    failed = {year for year, _, _ in report.failures}
+    assert len(failed) == len(report.failures)
+    for _, name, _ in report.failures:
+        assert issubclass(getattr(errors, name), (InputError, SolverError))
+    for year, sel in zip(report.years, report.selections):
+        assert (sel is None) == (year in failed)
+    assert len(report.series.months) == 12 * (len(report.years) - len(failed))
+    json.loads(jsonio.dumps(report_to_dict(report)))
+    stats_table_csv(report)
+    active_counts_csv(report)
+    sharpe_vs_k_csv(sweep)

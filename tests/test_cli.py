@@ -8,8 +8,10 @@ import sys
 
 import numpy as np
 
-from sparsefolio import ReturnPanel, add_months
+from sparsefolio import ReturnPanel, add_months, backtest, cli
 from sparsefolio.market_data import panel_to_csv
+
+from conftest import degenerate_1979_panel
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -211,6 +213,39 @@ def test_backtest_k_sweep_file(tmp_path):
     lines = (out / "sharpe_vs_k.csv").read_text().splitlines()
     assert lines[0] == "k,sharpe"
     assert len(lines) == 5
+
+
+def test_backtest_k_sweep_solves_each_path_once(tmp_path, monkeypatch):
+    data, _ = synthetic_panel_csv(tmp_path, seed=4)
+    calls = []
+    solve = backtest.solve_portfolio_path
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(backtest, "solve_portfolio_path", counted)
+    code = cli.main(["backtest", "--data", data, "--out", str(tmp_path / "out"),
+                     "--start", "1978-06", "--end", "1979-06",
+                     "--training-months", "24", "--k-sweep", "1,4"])
+    assert code == 0
+    assert len(calls) == 2  # one path per construction year
+
+
+def test_backtest_failed_construction_year_exit_0(tmp_path):
+    data = tmp_path / "panel.csv"
+    data.write_text(panel_to_csv(degenerate_1979_panel()), encoding="utf-8")
+    out = tmp_path / "out"
+    proc = run_cli("backtest", "--data", str(data), "--out", str(out),
+                   "--start", "1978-06", "--end", "1979-06",
+                   "--training-months", "24", "--k-sweep", "1,3")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((out / "report.json").read_text())
+    assert [(f["year"], f["error"]) for f in report["failures"]] == [
+        (1979, "DegeneratePanel")]
+    assert [row["failed"] for row in report["selections"]] == [False, True]
+    sweep = (out / "sharpe_vs_k.csv").read_text().splitlines()
+    assert sweep == ["k,sharpe", "1,", "2,", "3,"]
 
 
 def test_backtest_raw_layout_asset_count(tmp_path):
