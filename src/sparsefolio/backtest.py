@@ -336,7 +336,7 @@ def report_to_dict(report: BacktestReport) -> dict:
             "tau": sel.tau,
             "active_count": sel.active_count,
             "objective_value": sel.objective_value,
-            "weights": [float(v) for v in sel.weights],
+            "weights": sel.weights,
         })
     return {
         "policy": report.policy.label,
@@ -350,11 +350,11 @@ def report_to_dict(report: BacktestReport) -> dict:
         ],
         "series": {
             "months": [_fmt_month(d) for d in report.series.months],
-            "values": [float(v) for v in report.series.values],
+            "values": report.series.values,
         },
         "benchmark_series": {
             "months": [_fmt_month(d) for d in report.benchmark_series.months],
-            "values": [float(v) for v in report.benchmark_series.values],
+            "values": report.benchmark_series.values,
         },
         "stats": [None if s is None else _stats_dict(s) for s in report.stats],
         "benchmark_stats": [

@@ -103,6 +103,15 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
+def _floats(value, what: str, scalar: bool = False):
+    """value as a float array (one float if scalar); bad input is an InputError."""
+    try:
+        return float(value) if scalar else np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        shape = "a number" if scalar else "a rectangular array of numbers"
+        raise InputError(f"{what} must be {shape}")
+
+
 def _require(args, name: str):
     value = getattr(args, name.replace("-", "_"), None)
     if value is None:
@@ -123,13 +132,10 @@ def _event_dict(event) -> dict:
 def _path_to_dict(path) -> dict:
     bps = []
     for bp in path.breakpoints:
-        row = {
-            "tau": float(bp.tau),
-            "weights": [float(v) for v in bp.weights],
-        }
+        row = {"tau": float(bp.tau), "weights": bp.weights}
         if hasattr(bp, "multipliers"):
-            row["multipliers"] = [float(v) for v in bp.multipliers]
-        row["active_set"] = [int(i) for i in bp.active_set]
+            row["multipliers"] = bp.multipliers
+        row["active_set"] = np.asarray(bp.active_set, dtype=np.int64)
         row["event"] = _event_dict(bp.event)
         bps.append(row)
     return {"tau_0": float(path.breakpoints[0].tau), "breakpoints": bps}
@@ -148,10 +154,10 @@ def _path_to_csv(path) -> str:
             jsonio.format_float(bp.tau),
             bp.event.kind,
             ";".join(str(i) for i in bp.active_set),
+            jsonio.format_numbers(bp.weights, ","),
         ]
-        cells += [jsonio.format_float(v) for v in bp.weights]
         if m:
-            cells += [jsonio.format_float(v) for v in bp.multipliers]
+            cells.append(jsonio.format_numbers(bp.multipliers, ","))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -191,21 +197,24 @@ def _load_problem_doc(doc):
         if key not in doc:
             raise InputError(f"problem document missing {key!r}")
     problem = PenalizedProblem(
-        design=np.asarray(doc["design"], dtype=float),
-        target=np.asarray(doc["target"], dtype=float),
-        penalty_weights=(np.asarray(doc["penalty_weights"], dtype=float)
+        design=_floats(doc["design"], "design"),
+        target=_floats(doc["target"], "target"),
+        penalty_weights=(_floats(doc["penalty_weights"], "penalty_weights")
                          if doc.get("penalty_weights") is not None else None),
-        tau_stop=float(doc.get("tau_stop", 0.0)),
+        tau_stop=_floats(doc.get("tau_stop", 0.0), "tau_stop", scalar=True),
     )
     block = doc.get("constraints")
-    if not block or not np.asarray(block.get("matrix", []), dtype=float).size:
+    if block is not None and not isinstance(block, dict):
+        raise InputError("constraints block must be a JSON object")
+    if not block:
+        return problem, None
+    matrix = _floats(block.get("matrix", []), "constraints matrix")
+    if not matrix.size:
         return problem, None
     if "rhs" not in block:
         raise InputError("constraints block missing 'rhs'")
     constraints = AffineConstraints(
-        matrix=np.asarray(block["matrix"], dtype=float),
-        rhs=np.asarray(block["rhs"], dtype=float),
-    )
+        matrix=matrix, rhs=_floats(block["rhs"], "constraints rhs"))
     return problem, constraints
 
 
@@ -279,8 +288,8 @@ def cmd_backtest(args) -> int:
 
 def cmd_track(args) -> int:
     panel = _load_panel(_require(args, "panel"))
-    index = np.asarray(_read_json(_require(args, "index")), dtype=float)
-    spreads = (np.asarray(_read_json(args.spreads), dtype=float)
+    index = _floats(_read_json(_require(args, "index")), "--index")
+    spreads = (_floats(_read_json(args.spreads), "--spreads")
                if args.spreads is not None else np.ones(panel.n_assets))
     problem = build_tracking_problem(index, panel, spreads)
     path = solve_path(problem)
@@ -295,15 +304,11 @@ def cmd_hedge(args) -> int:
     doc = _read_json(_require(args, "scenario"))
     if not isinstance(doc, dict):
         raise InputError("scenario document must be a JSON object")
-    for key in ("pnl_existing", "pnl_unit", "probabilities", "spreads"):
+    fields = ("pnl_existing", "pnl_unit", "probabilities", "spreads")
+    for key in fields:
         if key not in doc:
             raise InputError(f"scenario document missing {key!r}")
-    scenario = HedgingScenario(
-        pnl_existing=np.asarray(doc["pnl_existing"], dtype=float),
-        pnl_unit=np.asarray(doc["pnl_unit"], dtype=float),
-        probabilities=np.asarray(doc["probabilities"], dtype=float),
-        spreads=np.asarray(doc["spreads"], dtype=float),
-    )
+    scenario = HedgingScenario(**{key: _floats(doc[key], key) for key in fields})
     problem = build_hedging_problem(scenario)
     path = solve_path(problem)
     _emit_path(path, args)
@@ -314,12 +319,12 @@ def cmd_hedge(args) -> int:
 
 def cmd_adjust(args) -> int:
     panel = _load_panel(_require(args, "panel"))
-    current = np.asarray(_read_json(_require(args, "current")), dtype=float)
+    current = _floats(_read_json(_require(args, "current")), "--current")
     if args.target_return is not None:
-        rho = float(args.target_return)
+        rho = _floats(args.target_return, "--target-return", scalar=True)
     else:
         rho = float(panel.returns.mean(axis=1).mean())
-    spreads = (np.asarray(_read_json(args.spreads), dtype=float)
+    spreads = (_floats(_read_json(args.spreads), "--spreads")
                if args.spreads is not None else None)
     spec = MarkowitzSpec(target_return=rho, training_panel=panel,
                          penalty_weights=spreads)

@@ -592,7 +592,8 @@ def _validated_real(RtR, Ah, J, sign, entered, ztol, counts):
     """
     while True:
         sig = sign[J]
-        uJ, svec, fallback = _bordered_direction(RtR[np.ix_(J, J)], Ah[:, J], sig)
+        uJ, svec, fallback = _bordered_direction(
+            RtR.take(J, axis=0).take(J, axis=1), Ah[:, J], sig)
         counts["solves"] += 1
         counts["fallbacks"] += fallback
         bad = np.isin(J, list(entered)) & (sig * uJ < -ztol)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from sparsefolio import ReturnPanel, add_months, backtest, cli
 from sparsefolio.market_data import panel_to_csv
@@ -105,6 +106,37 @@ def test_solve_infeasible_constraints_exit_3(tmp_path):
     proc = run_cli("solve", "--problem", problem, "--out", str(tmp_path))
     assert proc.returncode == 3
     assert "InfeasibleConstraints" in proc.stderr
+
+
+MALFORMED_NUMBERS = {
+    "index-object": ("track", "--index", {"a": 1.0}),
+    "index-strings": ("track", "--index", ["x"] * 48),
+    "current-strings": ("adjust", "--current", ["a", "b", "c", "d"]),
+    "spreads-ragged": ("track", "--spreads", [[1.0, 1.0], [1.0]]),
+    "design-ragged": ("solve", "design", [[1.0, 0.0], [1.0]]),
+    "constraints-list": ("solve", "constraints", [[1.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_NUMBERS))
+def test_malformed_numeric_input_exit_2(tmp_path, capsys, case):
+    command, field, bad = MALFORMED_NUMBERS[case]
+    if command == "solve":
+        doc = identity_problem(**{field: bad})
+        argv = ["--problem", write_json(tmp_path / "p.json", doc)]
+    else:
+        data, panel = synthetic_panel_csv(tmp_path)
+        inputs = {"--index": [0.01] * len(panel.returns), "--spreads": [1.0] * 4}
+        if command == "adjust":
+            inputs = {"--current": [0.25] * 4}
+        inputs[field] = bad
+        argv = ["--panel", data]
+        for flag, value in inputs.items():
+            argv += [flag, write_json(tmp_path / f"{flag[2:]}.json", value)]
+    code = cli.main([command, *argv, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("InputError") and field in err
 
 
 def test_missing_file_exit_2(tmp_path):
