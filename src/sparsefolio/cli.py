@@ -107,7 +107,7 @@ def _floats(value, what: str, scalar: bool = False):
     """value as a float array (one float if scalar); bad input is an InputError."""
     try:
         return float(value) if scalar else np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         shape = "a number" if scalar else "a rectangular array of numbers"
         raise InputError(f"{what} must be {shape}")
 

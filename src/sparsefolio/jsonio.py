@@ -6,14 +6,14 @@ Output files are promised byte-identical across runs, so this module owns
 one fixed convention: floats at 17 significant digits (lossless for IEEE
 doubles), keys in the order the caller built them, two-space indentation.
 
-A flat numeric sequence (a 1-d float or int array, or a list or tuple whose
-items are all float or all int) is written in one pass by format_numbers
-rather than item by item: one finiteness check over the whole sequence,
-then a single "%.17g" template applied to every float at once. That is
-byte-equal to format_float, because printf-style "%.17g" and
+A flat numeric sequence (a list or tuple whose items are all float or all
+int; an ndarray is first turned into one with .tolist()) is written in one
+pass by format_numbers rather than item by item: one finiteness check over
+the whole sequence, then a single "%.17g" template applied to every float at
+once. That is byte-equal to format_float, because printf-style "%.17g" and
 format(x, ".17g") both render through CPython's PyOS_double_to_string with
-the same mode and precision. Bools and numpy scalars in a list keep the
-item-by-item path.
+the same mode and precision. Bools, numpy scalars and mixed sequences keep
+the item-by-item path.
 """
 from __future__ import annotations
 
@@ -35,20 +35,19 @@ def format_float(x: float) -> str:
 def format_numbers(values, sep: str = ", ") -> str:
     """Items of a flat float or int sequence, formatted and joined by sep.
 
-    values is a 1-d float or int array, or a list or tuple whose items are
-    all float or all int. Each float reads as format_float gives it; a NaN
-    or infinity raises format_float's ValueError.
+    values is a 1-d array, or a list or tuple, whose items are all float or
+    all int; anything else raises TypeError. Each float reads as
+    format_float gives it; a NaN or infinity raises format_float's
+    ValueError.
     """
     if isinstance(values, np.ndarray):
-        if values.dtype.kind != "f":
-            return sep.join(map(str, values.tolist()))
-        finite = bool(np.isfinite(values).all())
         values = values.tolist()
-    elif values and type(values[0]) is float:
-        finite = all(map(math.isfinite, values))
-    else:
+    kinds = set(map(type, values))
+    if kinds <= {int}:
         return sep.join(map(str, values))
-    if not finite:
+    if kinds != {float}:
+        raise TypeError("format_numbers takes items that are all float or all int")
+    if not all(map(math.isfinite, values)):
         for v in values:
             format_float(v)
     return sep.join(["%.17g"] * len(values)) % tuple(values)
@@ -90,10 +89,7 @@ def _emit(obj, indent: int, pieces: list) -> None:
     elif isinstance(obj, (float, np.floating)):
         pieces.append(format_float(obj))
     elif isinstance(obj, np.ndarray):
-        if obj.ndim == 1 and obj.dtype.kind in "fiu":
-            pieces.append("[" + format_numbers(obj) + "]")
-        else:
-            _emit(obj.tolist(), indent, pieces)
+        _emit(obj.tolist(), indent, pieces)
     elif isinstance(obj, dict):
         if not obj:
             pieces.append("{}")
@@ -110,13 +106,11 @@ def _emit(obj, indent: int, pieces: list) -> None:
             pieces.append(",\n" if k + 1 < len(obj) else "\n")
         pieces.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            pieces.append("[]")
-            return
-        kinds = set(map(type, obj))
-        if kinds == {float} or kinds == {int}:
+        try:
             pieces.append("[" + format_numbers(obj) + "]")
             return
+        except TypeError:
+            pass
         flat = all(
             isinstance(v, (int, float, np.integer, np.floating, str, bool))
             or v is None

@@ -115,6 +115,8 @@ MALFORMED_NUMBERS = {
     "spreads-ragged": ("track", "--spreads", [[1.0, 1.0], [1.0]]),
     "design-ragged": ("solve", "design", [[1.0, 0.0], [1.0]]),
     "constraints-list": ("solve", "constraints", [[1.0, 1.0]]),
+    "tau_stop-oversized-int": ("solve", "tau_stop", 10**400),
+    "index-oversized-int": ("track", "--index", [10**400] * 48),
 }
 
 

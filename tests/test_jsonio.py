@@ -73,6 +73,13 @@ def test_unsupported_input_raises_type_error(obj):
         jsonio.dumps(obj)
 
 
+@pytest.mark.parametrize("values", [
+    [1, 0.1], [0.1, 1], [True, 1], [np.float64(0.1)], np.zeros((2, 2))])
+def test_format_numbers_rejects_mixed_items(values):
+    with pytest.raises(TypeError):
+        jsonio.format_numbers(values)
+
+
 def list_built_doc(path) -> dict:
     """path.json's document with every array as a list of Python scalars."""
     rows = []
