@@ -112,6 +112,16 @@ def _floats(value, what: str, scalar: bool = False):
         raise InputError(f"{what} must be {shape}")
 
 
+def _ints(value, what: str) -> int:
+    """value as an int: an int or a string of digits; else an InputError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    text = value.strip() if isinstance(value, str) else ""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise InputError(f"{what} must be a whole number, got {value!r}")
+
+
 def _require(args, name: str):
     value = getattr(args, name.replace("-", "_"), None)
     if value is None:
@@ -133,7 +143,7 @@ def _path_to_dict(path) -> dict:
     bps = []
     for bp in path.breakpoints:
         row = {"tau": float(bp.tau), "weights": bp.weights}
-        if hasattr(bp, "multipliers"):
+        if len(bp.multipliers):
             row["multipliers"] = bp.multipliers
         row["active_set"] = np.asarray(bp.active_set, dtype=np.int64)
         row["event"] = _event_dict(bp.event)
@@ -143,8 +153,7 @@ def _path_to_dict(path) -> dict:
 
 def _path_to_csv(path) -> str:
     n = len(path.breakpoints[0].weights)
-    m = len(path.breakpoints[0].multipliers) if hasattr(
-        path.breakpoints[0], "multipliers") else 0
+    m = len(path.breakpoints[0].multipliers)
     header = ["tau", "event", "active_set"]
     header += [f"w{i}" for i in range(n)]
     header += [f"lambda{j}" for j in range(m)]
@@ -246,7 +255,7 @@ def _load_panel(path_arg: str, n_assets=None):
     text = _read_text(path_arg)
     if text.lstrip().startswith("date,"):
         return panel_from_csv(text)
-    n = int(n_assets) if n_assets is not None else _infer_assets(text)
+    n = _ints(n_assets, "--assets") if n_assets is not None else _infer_assets(text)
     return parse_ff_file(text, n)
 
 
@@ -255,7 +264,7 @@ def cmd_backtest(args) -> int:
 
     kind = args.policy or "no-short"
     if kind == "exact-k":
-        policy = Policy.exact_k(int(_require(args, "k")))
+        policy = Policy.exact_k(_ints(_require(args, "k"), "--k"))
     elif kind == "bin":
         lo, hi = _parse_pair(_require(args, "bin"), "--bin")
         policy = Policy.binned(lo, hi)
@@ -267,7 +276,8 @@ def cmd_backtest(args) -> int:
     config = BacktestConfig(
         first_construction=_parse_month(args.start or "1976-06", "--start"),
         last_construction=_parse_month(args.end or "2005-06", "--end"),
-        training_months=int(args.training_months or 60),
+        training_months=(60 if args.training_months is None
+                         else _ints(args.training_months, "--training-months")),
         policy=policy,
     )
     report = run_exercise(panel, config)

@@ -25,7 +25,8 @@ tau at once. The path is computed in two stages:
      when that fails) and runs a vectorized ratio test.
 
 This is the package's one continuation engine: with no constraint rows it
-traces the unconstrained path, which `solve_path` reports.
+traces the unconstrained path, which `solve_path` returns as it is. Every
+breakpoint is a `PathBreakpoint` whose multipliers have length m.
 
 Penalty weights are handled by column rescaling; reported weights are in
 original coordinates while multipliers are invariant under the rescaling.
@@ -35,7 +36,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from .errors import (
     InputError,
     SingularActiveSystem,
     SolverError,
-    TauBelowStop,
 )
 from .path_unconstrained import (
     ZERO_TIE_REL,
@@ -52,15 +52,14 @@ from .path_unconstrained import (
     PathBreakpoint,
     PenalizedProblem,
     SolutionPath,
+    initial_tau,
 )
 
 __all__ = [
     "AffineConstraints",
-    "ConstrainedBreakpoint",
     "find_constrained_start",
     "solve_constrained_path",
     "solve_path",
-    "multipliers_at",
 ]
 
 log = logging.getLogger(__name__)
@@ -132,30 +131,6 @@ class AffineConstraints:
             + self.matrix.tobytes()
             + self.rhs.tobytes()
         )
-
-
-@dataclass(frozen=True)
-class ConstrainedBreakpoint:
-    """A kink of the constrained path.
-
-    Attributes:
-        tau: penalty level of the kink.
-        weights: minimizer at tau (exact zeros off the active set).
-        multipliers: Lagrange multipliers of Aw = a at tau.
-        active_set: sorted working set; may include an index that entered at
-            this tau and still has zero weight.
-        generalized_residual: R^T(y - Rw) + A^T lam of the penalty-rescaled
-            problem, which sits at +-tau/2 on the active set and within
-            [-tau/2, tau/2] elsewhere.
-        event: what happened at this kink (START / ENTER / LEAVE / STOP).
-    """
-
-    tau: float
-    weights: np.ndarray
-    multipliers: np.ndarray
-    active_set: tuple[int, ...]
-    generalized_residual: np.ndarray
-    event: Event = field(default_factory=lambda: Event("START"))
 
 
 def _minnorm_solve(M: np.ndarray, rhs: np.ndarray):
@@ -315,28 +290,6 @@ def _start_multipliers(c: np.ndarray, A: np.ndarray):
     M = np.hstack([signs[:, None] * A[:, basis].T, -np.ones((m + 1, 1))])
     sol = np.linalg.solve(M, -signs * c[basis])
     return sol[:m], float(sol[m])
-
-
-def multipliers_at(path: SolutionPath, tau: float) -> np.ndarray:
-    """Multipliers at an arbitrary tau, linear between breakpoints."""
-    bps = path.breakpoints
-    if not bps:
-        raise SolverError("path has no breakpoints")
-    if tau >= bps[0].tau:
-        return bps[0].multipliers.copy()
-    slack = ZERO_TIE_REL * max(1.0, bps[0].tau)
-    if tau < bps[-1].tau - slack:
-        raise TauBelowStop(
-            f"tau = {tau} is below the path terminus {bps[-1].tau}"
-        )
-    tau = max(tau, bps[-1].tau)
-    for hi, lo in zip(bps, bps[1:]):
-        if tau >= lo.tau:
-            if hi.tau == lo.tau:
-                return lo.multipliers.copy()
-            t = (tau - lo.tau) / (hi.tau - lo.tau)
-            return lo.multipliers + t * (hi.multipliers - lo.multipliers)
-    return bps[-1].multipliers.copy()
 
 
 def _prepare(problem: PenalizedProblem, constraints: AffineConstraints):
@@ -531,15 +484,15 @@ def _certify_knee(Rh, y, Ah, a, w):
     return tau0, lam_c + (tau0 / 2.0) * lam_d
 
 
-def _initial_state(problem, constraints):
+def _initial_state(Rh, y, Ah, a):
     """Start weights, multipliers and tau_0, in the penalty-rescaled problem.
 
-    A zero (or absent) right-hand side starts at w = 0 with minimax
-    multipliers. Otherwise the start is the least-squares point of the
-    l1-minimal face of the constraints, certified as the path top by a
-    multiplier line that keeps it stationary above the knee tau_0.
+    Takes the arrays of `_prepare`. A zero (or absent) right-hand side
+    starts at w = 0 with minimax multipliers. Otherwise the start is the
+    least-squares point of the l1-minimal face of the constraints, certified
+    as the path top by a multiplier line that keeps it stationary above the
+    knee tau_0.
     """
-    Rh, y, Ah, a, s = _prepare(problem, constraints)
     N = Rh.shape[1]
     if Ah.shape[0] == 0 or float(np.max(np.abs(Ah.T @ a), initial=0.0)) <= 1e-300:
         lam0, phi = _start_multipliers(Rh.T @ y, Ah)
@@ -571,13 +524,13 @@ def _start_breakpoint(RtR, Rh, y, Ah, s, w, lam, tau0, tau_stop, counts):
         uJ, svec, J = _validated_real(RtR, Ah, J, sign, entered, ztol, counts)
     else:
         uJ, svec = np.zeros(len(J)), np.zeros(Ah.shape[0])
-    bp = ConstrainedBreakpoint(
+    bp = PathBreakpoint(
         tau=tau0,
         weights=w / s,
-        multipliers=lam.copy(),
-        active_set=tuple(sorted(J)),
         generalized_residual=b,
+        active_set=tuple(sorted(J)),
         event=Event("START", entered=tuple(sorted(J))),
+        multipliers=lam.copy(),
     )
     return bp, J, sign, uJ, svec, b, ztol
 
@@ -666,8 +619,8 @@ def find_constrained_start(problem, constraints):
         InputError: constraints and problem cover different asset counts.
         SolverError: the start could not be built or certified.
     """
-    w, lam, tau0 = _initial_state(problem, constraints)
     Rh, y, Ah, a, s = _prepare(problem, constraints)
+    w, lam, tau0 = _initial_state(Rh, y, Ah, a)
     bp, *_ = _start_breakpoint(Rh.T @ Rh, Rh, y, Ah, s, w, lam, tau0,
                                problem.tau_stop, Counter())
     return bp, tau0
@@ -686,8 +639,8 @@ def solve_constrained_path(problem, constraints, max_active=None):
         SolverError: the start could not be built, a breakpoint leaves a
             non-member beyond the boundary, or the breakpoint budget ran out.
     """
-    w, lam, tau0 = _initial_state(problem, constraints)
     Rh, y, Ah, a, s = _prepare(problem, constraints)
+    w, lam, tau0 = _initial_state(Rh, y, Ah, a)
     RtR = Rh.T @ Rh
     N = Rh.shape[1]
     tau_stop = problem.tau_stop
@@ -728,9 +681,9 @@ def solve_constrained_path(problem, constraints, max_active=None):
             event = Event("ENTER" if entered else "LEAVE", entered=tuple(entered),
                           left=tuple(sorted(left.tolist())))
         _check_off_support(b, sign, tau, ztol)
-        bps.append(ConstrainedBreakpoint(
-            tau=tau, weights=w / s, multipliers=lam.copy(),
-            active_set=tuple(sorted(J)), generalized_residual=b, event=event))
+        bps.append(PathBreakpoint(
+            tau=tau, weights=w / s, generalized_residual=b,
+            active_set=tuple(sorted(J)), event=event, multipliers=lam.copy()))
     log.debug("continuation: %d breakpoints, %d direction solves, "
               "%d least-squares fallbacks",
               len(bps), counts["solves"], counts["fallbacks"])
@@ -741,25 +694,19 @@ def solve_constrained_path(problem, constraints, max_active=None):
 def solve_path(problem, max_active=None):
     """Every breakpoint of the unconstrained path, from tau_0 to tau_stop.
 
-    Runs the continuation engine with no constraint rows and reports each
-    breakpoint as a PathBreakpoint, whose residual_corr is R^T(y - R w) on
-    the penalty-rescaled design. The first breakpoint has zero weights at
+    The continuation engine run with no constraint rows: every breakpoint
+    carries length-0 multipliers. The first breakpoint has zero weights at
     tau = initial_tau(problem); the last sits at tau_stop (event STOP)
     unless max_active truncated the path. When zero is already optimal at
     tau_stop (in particular for y = 0) the path is one START breakpoint at
     tau_stop with an empty active set.
     """
-    c = problem.scaled_design().T @ problem.target
-    fp = problem.fingerprint()
-    if 2.0 * float(np.max(np.abs(c))) <= problem.tau_stop:
+    none = AffineConstraints(np.zeros((0, problem.n_assets)), np.zeros(0))
+    if initial_tau(problem) <= problem.tau_stop:
+        c = problem.scaled_design().T @ problem.target
         only = PathBreakpoint(tau=problem.tau_stop, weights=np.zeros(len(c)),
-                              residual_corr=c, active_set=(), event=Event("START"))
+                              generalized_residual=c, active_set=(),
+                              event=Event("START"))
+        fp = problem.fingerprint(extra=none.fingerprint_bytes())
         return SolutionPath(breakpoints=(only,), problem_fingerprint=fp)
-    n = problem.n_assets
-    path = solve_constrained_path(
-        problem, AffineConstraints(np.zeros((0, n)), np.zeros(0)), max_active)
-    return SolutionPath(breakpoints=tuple(
-        PathBreakpoint(tau=float(bp.tau), weights=bp.weights,
-                       residual_corr=bp.generalized_residual,
-                       active_set=bp.active_set, event=bp.event)
-        for bp in path.breakpoints), problem_fingerprint=fp)
+    return solve_constrained_path(problem, none, max_active)

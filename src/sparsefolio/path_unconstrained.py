@@ -1,24 +1,25 @@
-"""Types of the l1-penalized least-squares path, with no constraints.
+"""Types of the l1-penalized least-squares path, and reading it at any tau.
 
 The problem is
 
-    min_w ||R w - y||^2 + tau * sum_i s_i |w_i|
+    min_w ||R w - y||^2 + tau * sum_i s_i |w_i|   s.t.  A w = a
 
-and its minimizer is piecewise linear in tau. This module holds the problem
-(`PenalizedProblem`), the path and its breakpoints (`SolutionPath`,
-`PathBreakpoint`, `Event`), the start level `initial_tau` and the
-interpolation `eval_at`. The path itself is computed by the one
-continuation engine in `path_constrained`, whose `solve_path` runs it with
-no constraint rows.
+and its minimizer and Lagrange multipliers are piecewise linear in tau.
+This module holds the problem (`PenalizedProblem`), the path and its one
+breakpoint type (`SolutionPath`, `PathBreakpoint`, `Event`), the start level
+`initial_tau` of the path with no constraints, and the interpolation
+(`eval_at`, `multipliers_at`). A path without constraints is the m = 0 case:
+its breakpoints carry length-0 multipliers. Paths are computed by the one
+continuation engine in `path_constrained`.
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, TauBelowStop
+from .errors import InputError, SolverError, TauBelowStop
 
 __all__ = [
     "PenalizedProblem",
@@ -27,6 +28,7 @@ __all__ = [
     "SolutionPath",
     "initial_tau",
     "eval_at",
+    "multipliers_at",
 ]
 
 ZERO_TIE_REL = 1e-12  # zero/tie tolerance, relative to max|R^T y|
@@ -140,17 +142,25 @@ class Event:
 class PathBreakpoint:
     """One breakpoint of the piecewise-linear path.
 
-    `active_set` is the working set J: the boundary indices, which include a
-    just-entered index whose weight is still exactly zero at this tau.
-    Weights off J are stored as exact zeros. `residual_corr` is
-    b = R^T(y - R w) on the penalty-rescaled design.
+    Attributes:
+        tau: penalty level of the breakpoint.
+        weights: minimizer at tau, with exact zeros off the active set.
+        generalized_residual: b = R^T(y - R w) + A^T lam of the
+            penalty-rescaled problem, which sits at +-tau/2 on the active set
+            and within [-tau/2, tau/2] elsewhere.
+        active_set: the sorted working set J: the boundary indices, which
+            include a just-entered index whose weight is still zero here.
+        event: what happened at this breakpoint (START/ENTER/LEAVE/STOP).
+        multipliers: the m Lagrange multipliers of A w = a at tau; length 0
+            on a path without constraints.
     """
 
     tau: float
     weights: np.ndarray
-    residual_corr: np.ndarray
+    generalized_residual: np.ndarray
     active_set: tuple[int, ...]
     event: Event
+    multipliers: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,27 +184,37 @@ def initial_tau(problem: PenalizedProblem) -> float:
     return 2.0 * float(np.max(np.abs(c))) if c.size else 0.0
 
 
-def eval_at(path: SolutionPath, tau: float) -> np.ndarray:
-    """Minimizer weights at an arbitrary tau on (or above) the path.
-
-    Above the first breakpoint returns the start weights; between
-    breakpoints interpolates linearly; below the final breakpoint raises
-    TauBelowStop.
-    """
+def _interpolate(path: SolutionPath, tau: float):
+    """(weights, multipliers) at tau; the contract is eval_at's."""
     bps = path.breakpoints
-    taus = [b.tau for b in bps]
-    slack = ZERO_TIE_REL * max(1.0, taus[0])
-    if tau > taus[0]:
-        return bps[0].weights.copy()
-    if tau < taus[-1] - slack:
+    if not bps:
+        raise SolverError("path has no breakpoints")
+    taus = np.array([bp.tau for bp in bps], dtype=float)
+    if tau < taus[-1] - ZERO_TIE_REL * max(1.0, taus[0]):
         raise TauBelowStop(f"tau = {tau} lies below the path end {taus[-1]}")
-    tau = max(tau, taus[-1])
-    for hi, lo in zip(bps, bps[1:]):
-        if tau >= lo.tau:
-            if tau >= hi.tau:
-                return hi.weights.copy()
-            if tau == lo.tau:
-                return lo.weights.copy()
-            t = (hi.tau - tau) / (hi.tau - lo.tau)
-            return hi.weights + t * (lo.weights - hi.weights)
-    return bps[-1].weights.copy()
+    # first breakpoint at or below tau; the taus decrease
+    i = min(int(np.searchsorted(-taus, -tau)), len(bps) - 1)
+    lo = bps[i]
+    if i == 0 or tau <= lo.tau:
+        return lo.weights.copy(), lo.multipliers.copy()
+    hi = bps[i - 1]
+    t = (hi.tau - tau) / (hi.tau - lo.tau)
+    return (hi.weights + t * (lo.weights - hi.weights),
+            hi.multipliers + t * (lo.multipliers - hi.multipliers))
+
+
+def eval_at(path: SolutionPath, tau: float) -> np.ndarray:
+    """Minimizer weights at any tau on or above the path.
+
+    At or above the first breakpoint returns the start; at a breakpoint's
+    tau its stored weights, exactly; between breakpoints interpolates
+    linearly. Below the end by more than the tie slack raises TauBelowStop
+    (within it, returns the end); a path with no breakpoints raises
+    SolverError.
+    """
+    return _interpolate(path, tau)[0]
+
+
+def multipliers_at(path: SolutionPath, tau: float) -> np.ndarray:
+    """Multipliers at any tau on or above the path, read as eval_at reads weights."""
+    return _interpolate(path, tau)[1]

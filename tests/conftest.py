@@ -57,6 +57,16 @@ def random_instance(seed, n_max=8, t_max=12, m_choices=(0, 1, 2),
     return problem, constraints
 
 
+def certificate_violation(problem, bp):
+    """Worst stationarity violation at a breakpoint, active or not."""
+    b = bp.generalized_residual
+    half = bp.tau / 2.0
+    on = max((abs(abs(b[i]) - half) for i in bp.active_set), default=0.0)
+    off = [i for i in range(problem.n_assets) if i not in bp.active_set]
+    off_v = max((abs(b[i]) - half for i in off), default=0.0)
+    return max(on, off_v, 0.0)
+
+
 def markowitz_instance(seed):
     """Random return panel plus budget/return rows with attainable target.
 

@@ -25,6 +25,7 @@ from sparsefolio.market_data import parse_ff_file
 from oracles import oracle_nonnegative_qp, oracle_sign_enumeration_many
 
 from conftest import (
+    certificate_violation,
     markowitz_instance,
     no_constraints,
     random_instance,
@@ -46,16 +47,6 @@ def sampled_paths():
             _paths_cache[seed] = (problem, cons,
                                   solve_constrained_path(problem, cons))
     return _paths_cache
-
-
-def certificate_violation(problem, bp):
-    """Worst stationarity violation at a breakpoint, active or not."""
-    b = bp.generalized_residual
-    half = bp.tau / 2.0
-    on = max((abs(abs(b[i]) - half) for i in bp.active_set), default=0.0)
-    off = [i for i in range(problem.n_assets) if i not in bp.active_set]
-    off_v = max((abs(b[i]) - half for i in off), default=0.0)
-    return max(on, off_v, 0.0)
 
 
 def ff_report(path, n_assets):

@@ -51,6 +51,19 @@ def synthetic_panel_csv(tmp_path, n=4, seed=0, months=48):
     return str(dest), panel
 
 
+def raw_layout_file(tmp_path):
+    """A raw monthly-percent file of 4 assets over 48 months from 1976-07."""
+    rng = np.random.default_rng(5)
+    lines = ["Banner line", "      A0 A1 A2 A3"]
+    for k in range(48):
+        y, m = add_months((1976, 7), k)
+        cells = " ".join(f"{v:.2f}" for v in 5.0 * rng.standard_normal(4) + 1.0)
+        lines.append(f"{y:04d}{m:02d} {cells}")
+    data = tmp_path / "raw.txt"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(data)
+
+
 # --- solve ---
 
 def test_solve_identity_path(tmp_path):
@@ -285,27 +298,63 @@ def test_backtest_failed_construction_year_exit_0(tmp_path):
 def test_backtest_raw_layout_asset_count(tmp_path):
     # a raw monthly-percent file: the asset count is inferred, or checked
     # against --assets when given
-    rng = np.random.default_rng(5)
-    lines = ["Banner line", "      A0 A1 A2 A3"]
-    for k in range(48):
-        y, m = add_months((1976, 7), k)
-        cells = " ".join(f"{v:.2f}" for v in 5.0 * rng.standard_normal(4) + 1.0)
-        lines.append(f"{y:04d}{m:02d} {cells}")
-    data = tmp_path / "raw.txt"
-    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    data = raw_layout_file(tmp_path)
     reports = []
     for extra in ([], ["--assets", "4"]):
         out = tmp_path / f"out{len(extra)}"
-        proc = run_cli("backtest", "--data", str(data), "--out", str(out),
+        proc = run_cli("backtest", "--data", data, "--out", str(out),
                        "--start", "1978-06", "--end", "1979-06",
                        "--training-months", "24", *extra)
         assert proc.returncode == 0, proc.stderr
         reports.append((out / "report.json").read_bytes())
     assert reports[0] == reports[1]
-    proc = run_cli("backtest", "--data", str(data), "--out", str(tmp_path / "bad"),
+    proc = run_cli("backtest", "--data", data, "--out", str(tmp_path / "bad"),
                    "--assets", "5")
     assert proc.returncode == 2
     assert "WrongColumnCount" in proc.stderr
+
+
+BAD_CONFIG_INTS = {
+    "training-months-text": ("--training-months", {"training_months": "abc"}),
+    "training-months-fraction": ("--training-months", {"training_months": 2.5}),
+    "k-text": ("--k", {"policy": "exact-k", "k": "abc"}),
+    "k-bool": ("--k", {"policy": "exact-k", "k": True}),
+    "assets-text": ("--assets", {"assets": "abc"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_INTS))
+def test_backtest_config_non_integer_exit_2(tmp_path, capsys, case):
+    flag, doc = BAD_CONFIG_INTS[case]
+    config = write_json(tmp_path / "cfg.json", {
+        "data": raw_layout_file(tmp_path), "out": str(tmp_path / "out"),
+        "start": "1978-06", "end": "1979-06", "training_months": 24, **doc})
+    assert cli.main(["backtest", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"InputError: {flag} must be a whole number")
+
+
+def test_backtest_zero_training_months_exit_2(tmp_path, capsys):
+    # 0 is a value, not "unset": it used to fall back to the 60-month default
+    code = cli.main(["backtest", "--data", raw_layout_file(tmp_path),
+                     "--out", str(tmp_path / "out"), "--training-months", "0"])
+    assert code == 2
+    assert "training_months must be at least 2" in capsys.readouterr().err
+
+
+def test_backtest_config_digit_strings_equal_flags(tmp_path):
+    data = raw_layout_file(tmp_path)
+    config = write_json(tmp_path / "cfg.json", {
+        "data": data, "out": str(tmp_path / "cfg"), "start": "1978-06",
+        "end": "1979-06", "training_months": "24", "policy": "exact-k",
+        "k": "2", "assets": "4"})
+    assert cli.main(["backtest", "--config", config]) == 0
+    assert cli.main(["backtest", "--data", data, "--out", str(tmp_path / "flags"),
+                     "--start", "1978-06", "--end", "1979-06",
+                     "--training-months", "24", "--policy", "exact-k",
+                     "--k", "2", "--assets", "4"]) == 0
+    assert ((tmp_path / "cfg" / "report.json").read_bytes()
+            == (tmp_path / "flags" / "report.json").read_bytes())
 
 
 # --- track / hedge / adjust ---

@@ -85,7 +85,7 @@ def list_built_doc(path) -> dict:
     rows = []
     for bp in path.breakpoints:
         row = {"tau": float(bp.tau), "weights": [float(v) for v in bp.weights]}
-        if hasattr(bp, "multipliers"):
+        if len(bp.multipliers):
             row["multipliers"] = [float(v) for v in bp.multipliers]
         row["active_set"] = [int(i) for i in bp.active_set]
         row["event"] = {
@@ -100,7 +100,7 @@ def list_built_doc(path) -> dict:
 def per_cell_csv(path) -> str:
     """path.csv with every float cell formatted on its own."""
     bp0 = path.breakpoints[0]
-    m = len(bp0.multipliers) if hasattr(bp0, "multipliers") else 0
+    m = len(bp0.multipliers)
     header = ["tau", "event", "active_set"]
     header += [f"w{i}" for i in range(len(bp0.weights))]
     header += [f"lambda{j}" for j in range(m)]

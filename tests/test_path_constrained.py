@@ -24,21 +24,12 @@ from oracles import (
 )
 
 from conftest import (
+    certificate_violation,
     factor_panel,
     markowitz_instance,
     no_constraints,
     random_instance,
 )
-
-
-def certificate_violation(problem, constraints, bp):
-    """Worst violation of the multiplier stationarity conditions at bp."""
-    b = bp.generalized_residual
-    half = bp.tau / 2.0
-    on = max((abs(abs(b[i]) - half) for i in bp.active_set), default=0.0)
-    off = [i for i in range(problem.n_assets) if i not in bp.active_set]
-    off_v = max((abs(b[i]) - half for i in off), default=0.0)
-    return max(on, off_v, 0.0)
 
 
 # --- AffineConstraints construction ---
@@ -208,7 +199,7 @@ def test_target_at_edge_of_mean_span(seed):
     path = solve_constrained_path(problem, cons)
     tau0 = path.breakpoints[0].tau
     for bp in path.breakpoints:
-        assert certificate_violation(problem, cons, bp) <= 1e-9 * max(1.0, tau0)
+        assert certificate_violation(problem, bp) <= 1e-9 * max(1.0, tau0)
     rng = np.random.default_rng(seed)
     taus = np.concatenate([rng.uniform(0.0, tau0, size=8), [1.5 * tau0]])
     ties = oracle_sign_enumeration_many(problem, cons, taus, return_ties=True)
@@ -253,7 +244,7 @@ def test_random_paths_certified(seed, shape):
     scale = max(1.0, path.breakpoints[0].tau)
     A, a = constraints.matrix, constraints.rhs
     for bp in path.breakpoints:
-        assert certificate_violation(problem, constraints, bp) <= 1e-9 * scale
+        assert certificate_violation(problem, bp) <= 1e-9 * scale
         if constraints.n_constraints:
             resid = np.max(np.abs(A @ bp.weights - a))
             assert resid <= 1e-10 * max(1.0, np.max(np.abs(a)))
@@ -418,7 +409,7 @@ def test_singular_consistent_active_system_takes_min_norm_direction():
     path = solve_path(problem)
     routed = solve_constrained_path(problem, no_constraints(4))
     for bp in routed.breakpoints:
-        assert certificate_violation(problem, None, bp) <= 1e-9
+        assert certificate_violation(problem, bp) <= 1e-9
     assert [bp.tau for bp in path.breakpoints] == [6.0, 4.0, 2.0, 0.0]
     assert path.breakpoints[1].event.entered == (2, 3)
     np.testing.assert_allclose(path.breakpoints[-1].weights, [3.0, 1.0, 1.0, 1.0],
@@ -433,7 +424,7 @@ def test_short_panel_path_certifies():
     path = solve_constrained_path(problem, no_constraints(6))
     assert "LEAVE" in [bp.event.kind for bp in path.breakpoints]
     for bp in path.breakpoints:
-        assert certificate_violation(problem, None, bp) <= 1e-9
+        assert certificate_violation(problem, bp) <= 1e-9
     end = path.breakpoints[-1]
     assert end.tau == 0.0
     np.testing.assert_allclose(problem.design @ end.weights, problem.target,

@@ -7,14 +7,18 @@ from sparsefolio import (
     Event,
     InputError,
     PenalizedProblem,
+    SolutionPath,
+    SolverError,
     TauBelowStop,
     eval_at,
     initial_tau,
+    multipliers_at,
+    solve_constrained_path,
     solve_path,
 )
 from oracles import oracle_sign_enumeration_many
 
-from conftest import unconstrained_instance
+from conftest import certificate_violation, random_instance, unconstrained_instance
 
 
 def identity_problem():
@@ -109,7 +113,7 @@ def test_stop_at_or_above_tau0_is_one_empty_start(tau_stop):
     assert bp.active_set == ()
     assert bp.event == Event("START")
     assert np.all(bp.weights == 0.0)
-    np.testing.assert_array_equal(bp.residual_corr, [3.0, 1.0, 0.0])
+    np.testing.assert_array_equal(bp.generalized_residual, [3.0, 1.0, 0.0])
 
 
 def test_endpoint_is_least_squares():
@@ -138,16 +142,6 @@ def test_orthonormal_design_matches_soft_threshold():
 
 # --- path invariants on random instances ---
 
-def kkt_violation(problem, bp):
-    """Largest violation of the stationarity certificate at a breakpoint."""
-    b = bp.residual_corr
-    half = bp.tau / 2.0
-    on = max((abs(abs(b[i]) - half) for i in bp.active_set), default=0.0)
-    off = [i for i in range(problem.n_assets) if i not in bp.active_set]
-    off_v = max((abs(b[i]) - half for i in off), default=0.0)
-    return max(on, off_v, 0.0)
-
-
 @pytest.mark.parametrize("seed", range(12))
 def test_random_paths_certified_and_match_oracle(seed):
     problem = unconstrained_instance(seed, weighted=(seed % 3 == 0))
@@ -155,7 +149,7 @@ def test_random_paths_certified_and_match_oracle(seed):
     tau0 = path.breakpoints[0].tau
     scale = max(1.0, tau0)
     for bp in path.breakpoints:
-        assert kkt_violation(problem, bp) <= 1e-9 * scale
+        assert certificate_violation(problem, bp) <= 1e-9 * scale
         off = np.setdiff1d(np.arange(problem.n_assets), bp.active_set)
         assert np.all(bp.weights[off] == 0.0)  # exact zeros off the set
     rng = np.random.default_rng(100 + seed)
@@ -196,7 +190,50 @@ def test_tau_stop_truncates_path():
                                atol=1e-14)
 
 
-# --- eval_at ---
+# --- eval_at and multipliers_at ---
+
+def contract_paths():
+    """Constrained paths with m = 0, 1, 2 and unconstrained solve_path paths."""
+    for seed in range(12):
+        problem, constraints = random_instance(seed)
+        yield solve_constrained_path(problem, constraints)
+    for seed in range(6):
+        yield solve_path(unconstrained_instance(seed, weighted=seed % 2 == 1))
+
+
+def test_interpolation_contract():
+    m_seen = set()
+    for path in contract_paths():
+        bps = path.breakpoints
+        m_seen.add(len(bps[0].multipliers))
+        for bp in bps:  # stored arrays, bit for bit
+            assert np.array_equal(eval_at(path, bp.tau), bp.weights)
+            assert np.array_equal(multipliers_at(path, bp.tau), bp.multipliers)
+        above = 2.0 * bps[0].tau + 1.0
+        assert np.array_equal(eval_at(path, above), bps[0].weights)
+        assert np.array_equal(multipliers_at(path, above), bps[0].multipliers)
+        for hi, lo in zip(bps, bps[1:]):
+            mid = 0.5 * (hi.tau + lo.tau)
+            np.testing.assert_allclose(eval_at(path, mid),
+                                       0.5 * (hi.weights + lo.weights),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(multipliers_at(path, mid),
+                                       0.5 * (hi.multipliers + lo.multipliers),
+                                       rtol=0, atol=1e-12)
+        below = bps[-1].tau - 1.0
+        with pytest.raises(TauBelowStop):
+            eval_at(path, below)
+        with pytest.raises(TauBelowStop):
+            multipliers_at(path, below)
+    assert m_seen == {0, 1, 2}
+
+
+def test_interpolation_of_empty_path_raises():
+    path = SolutionPath(breakpoints=(), problem_fingerprint="empty")
+    for read in (eval_at, multipliers_at):
+        with pytest.raises(SolverError):
+            read(path, 1.0)
+
 
 def test_eval_at_identity_example():
     path = solve_path(identity_problem())

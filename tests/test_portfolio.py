@@ -160,7 +160,7 @@ def test_no_short_rejects_negative_start():
     bad = PathBreakpoint(
         tau=1.0,
         weights=np.array([1.5, -0.5]),
-        residual_corr=np.zeros(2),
+        generalized_residual=np.zeros(2),
         active_set=(0, 1),
         event=Event("START"),
     )
@@ -235,7 +235,7 @@ def fabricated_path(entries):
         PathBreakpoint(
             tau=tau,
             weights=np.asarray(w, dtype=float),
-            residual_corr=np.zeros(len(w)),
+            generalized_residual=np.zeros(len(w)),
             active_set=tuple(np.flatnonzero(w)),
             event=Event("ENTER"),
         )
