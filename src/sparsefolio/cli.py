@@ -358,14 +358,14 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON file supplying any of the flags")
         p.add_argument("--out", default=None, help="output directory (default .)")
+
+    def path_format(p):
         p.add_argument("--format", choices=["json", "csv"], default=None,
                        help="path file format (default json)")
-        p.add_argument("--paper-mode", action="store_const", const=True,
-                       default=None, dest="paper_mode",
-                       help="round presentation percentages to integers")
 
     p = sub.add_parser("solve", help="solve one penalized problem")
     p.add_argument("--problem", help="problem JSON document")
+    path_format(p)
     common(p)
     p.set_defaults(func=cmd_solve)
 
@@ -380,6 +380,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--training-months", type=int, dest="training_months")
     p.add_argument("--k-sweep", dest="k_sweep",
                    help="K_MIN,K_MAX exact-k Sharpe sweep CSV")
+    p.add_argument("--paper-mode", action="store_const", const=True,
+                   default=None, dest="paper_mode",
+                   help="round presentation percentages to integers")
     common(p)
     p.set_defaults(func=cmd_backtest)
 
@@ -387,11 +390,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--panel", help="asset panel (canonical CSV or raw layout)")
     p.add_argument("--index", help="JSON array of index returns")
     p.add_argument("--spreads", help="JSON array of per-asset costs")
+    path_format(p)
     common(p)
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("hedge", help="sparse scenario-hedging path")
     p.add_argument("--scenario", help="scenario JSON document")
+    path_format(p)
     common(p)
     p.set_defaults(func=cmd_hedge)
 
@@ -400,6 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--current", help="JSON array of current holdings")
     p.add_argument("--target-return", type=float, dest="target_return")
     p.add_argument("--spreads", help="JSON array of adjustment costs")
+    path_format(p)
     common(p)
     p.set_defaults(func=cmd_adjust)
     return top

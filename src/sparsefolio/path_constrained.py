@@ -5,18 +5,17 @@ tau at once. The path is computed in two stages:
 
   1. The start. For large tau the penalty dominates, so the minimizer is
      the least-squares point among the l1-minimal solutions of Aw = a, and
-     the path is constant above a knee tau_0. Both start problems are one
-     small l1 program, min ||x||_1 s.t. E x = e with as many rows as
-     constraints (plus one), solved by a revised simplex whose optimal dual
-     theta gives the start:
-       - nonzero a: E = A, e = a. The optimal face (indices tight at every
-         optimal theta, with their signs) carries the start, found by a
-         least-squares active-set sweep over the face from the program's
-         basic point. A multiplier line lam(tau) that keeps it stationary
-         for every tau above the knee certifies it and pins tau_0.
-       - zero a: w = 0 starts the path, and tau_0 is twice the minimax
-         value min_lam max_i |R^T y + A^T lam|_i, the dual of the program
-         with E = [A; (R^T y)^T] and e = (0, ..., 0, 1).
+     the path is constant above a knee tau_0. A zero a starts at w = 0; any
+     other a at the least-squares point of the l1-minimal face, which a
+     least-squares active-set sweep finds from the optimal basis of the
+     small l1 program min ||x||_1 s.t. A x = a. One knee certificate then
+     serves every start: a multiplier line lam(tau) that keeps the point
+     stationary above the knee, the smallest such knee being the dual of
+     one more small l1 program over the off-support indices. At w = 0 that
+     is the minimax tau_0 = 2 min_lam max_i |R^T y + A^T lam|_i (the LARS
+     start 2 ||R^T y||_inf when there are no constraints); a point that is
+     optimal down to tau = 0 gets the knee 0. Both programs are solved by
+     one revised simplex.
   2. Ordinary continuation in real arithmetic on the Lagrangian optimality
      system from tau_0 down to tau_stop, moving weights and multipliers
      jointly and recording a breakpoint at every support change. Segments
@@ -262,36 +261,6 @@ def _l1_program(E: np.ndarray, e: np.ndarray, offset=None):
     raise SolverError("start program exceeded its pivot budget")
 
 
-def _start_multipliers(c: np.ndarray, A: np.ndarray):
-    """Multipliers minimizing max_i |c_i + (A^T lam)_i| (zero-rhs start).
-
-    Used when the right-hand side is zero, where w = 0 is feasible and the
-    path starts there: tau_0 is twice the minimax value phi. With Q an
-    orthonormal basis of A's row space and r the part of c orthogonal to it,
-    the minimax is the dual of ``min ||x||_1  s.t.  Q^T x = 0, r^T x = 1``:
-    at the program's optimal basis, m + 1 signed functions
-    s_i (c_i + (A^T lam)_i) sit at the common level phi, and that square
-    system gives lam and phi. When c lies in A's row space the program is
-    infeasible, phi is zero and lam is the least-squares fit.
-    """
-    m, n = A.shape
-    if m == 0 or n == 0:
-        return np.zeros(m), float(np.max(np.abs(c), initial=0.0))
-    lam_ls, _, _, _ = np.linalg.lstsq(A.T, -c, rcond=None)
-    r = c + A.T @ lam_ls
-    r_norm = float(np.linalg.norm(r))
-    if r_norm <= 1e-12 * float(np.linalg.norm(c)):
-        return lam_ls, 0.0
-    Q, _ = np.linalg.qr(A.T)
-    E = np.vstack([Q.T, r / r_norm])
-    e = np.zeros(m + 1)
-    e[m] = 1.0
-    basis, signs, _, _ = _l1_program(E, e)
-    M = np.hstack([signs[:, None] * A[:, basis].T, -np.ones((m + 1, 1))])
-    sol = np.linalg.solve(M, -signs * c[basis])
-    return sol[:m], float(sol[m])
-
-
 def _prepare(problem: PenalizedProblem, constraints: AffineConstraints):
     if constraints.n_assets != problem.n_assets:
         raise InputError(
@@ -343,7 +312,7 @@ def _l1_face(Ah, a):
 def _free_directions(M):
     """Orthonormal basis of the directions orthogonal to every column of M."""
     U, sv, _ = np.linalg.svd(M)
-    return U[:, int(np.sum(sv > 1e-12 * sv[0])):]
+    return U[:, int(np.sum(sv > 1e-12 * sv.max(initial=0.0))):]
 
 
 def _segment_end(g0, gz):
@@ -425,88 +394,85 @@ def _face_lsq(Rh, y, Ah, a, face, signs, x):
 def _certify_knee(Rh, y, Ah, a, w):
     """Certify a candidate top-of-path point and locate its knee.
 
-    Checks whether multipliers ``lam(tau) = lam_c + (tau/2) lam_d`` exist
-    making ``w`` stationary for every penalty above some knee, and returns
-    the smallest such penalty with its multipliers, or None when no such
-    certificate exists (the candidate is not the top of the path). When the
-    support leaves multiplier directions free (fewer support columns than
-    constraint rows), the knee is the smallest rho = tau/2 for which some
-    free component t keeps |alpha_i + rho d_i + h_i . t| <= rho off the
-    support; with mu = 1/rho and v = t/rho that is the l1 program's dual
-    max mu s.t. |alpha_i mu + h_i . v + d_i| <= 1.
+    Checks whether multipliers ``lam(tau) = lam_c + (tau/2) lam_d + t``,
+    with t in the multiplier directions the support leaves free, exist
+    making ``w`` stationary for every penalty above some knee. Every
+    support, the empty one included, goes through one l1 program: the knee
+    is the smallest rho = tau/2 for which some free component t keeps
+    |alpha_i + rho d_i + h_i . t| <= rho off the support, and with mu = 1/rho
+    and v = t/rho that is the program's dual max mu s.t.
+    |alpha_i mu + h_i . v + d_i| <= 1. On the empty support (w = 0, the
+    zero right-hand-side start) alpha = R^T y, d = 0 and every direction is
+    free, so the knee is twice the minimax min_lam max_i |R^T y + A^T lam|_i.
+    When the off-support residual lies in the span of the free directions,
+    the point is optimal down to tau = 0: the knee is 0 and the multipliers
+    are the least-squares ones.
+
+    Returns:
+        Tuple ``(tau0, lam, tight)``: the knee, the multipliers there, and
+        the off-support indices the program's optimal basis holds at the
+        boundary; or None when no certificate exists (the candidate is not
+        the top of the path).
     """
-    rel = 1e-9
     if float(np.linalg.norm(Ah @ w - a)) > 1e-10 * max(1.0, float(np.linalg.norm(a))):
         return None
     c = Rh.T @ (y - Rh @ w)
     S = np.flatnonzero(w)
-    if S.size == 0:
-        return None
-    sig = np.sign(w[S])
     AST = Ah[:, S].T
     lam_c, res_c, k1 = _minnorm_solve(AST, -c[S])
-    lam_d, res_d, k2 = _minnorm_solve(AST, sig)
-    scale = max(1.0, float(np.max(np.abs(c))))
-    gate = _consistency_gate(scale, max(k1, k2))
-    if res_c > gate or res_d > gate * max(1.0, float(np.max(np.abs(sig)))):
+    lam_d, res_d, k2 = _minnorm_solve(AST, np.sign(w[S]))
+    gate = _consistency_gate(float(np.max(np.abs(c))), max(k1, k2))
+    if res_c > gate or res_d > gate:
         return None
     alpha = c + Ah.T @ lam_c
     d = Ah.T @ lam_d
-    out = np.setdiff1d(np.arange(len(w)), S)
+    out = np.flatnonzero(w == 0.0)
     free = _free_directions(Ah[:, S])
-    if free.shape[1]:
-        H = Ah[:, out].T @ free
-        e = np.zeros(1 + free.shape[1])
-        e[0] = 1.0
-        try:
-            _, _, _, theta = _l1_program(np.vstack([alpha[out], H.T]), e, d[out])
-        except SolverError:
-            return None
-        if theta[0] <= 0.0:
-            return None
-        rho = 1.0 / theta[0]
-        return 2.0 * rho, lam_c + rho * lam_d + free @ (rho * theta[1:])
-    atol = rel * scale
-    tau0 = 0.0
-    for i in out:
-        ai = float(alpha[i])
-        di = float(d[i])
-        if di > 1.0 + rel or di < -1.0 - rel:
-            return None
-        if ai > atol:
-            if di >= 1.0 - rel:
-                return None
-            tau0 = max(tau0, 2.0 * ai / (1.0 - di))
-        if ai < -atol:
-            if di <= -1.0 + rel:
-                return None
-            tau0 = max(tau0, -2.0 * ai / (1.0 + di))
-    return tau0, lam_c + (tau0 / 2.0) * lam_d
+    H = Ah[:, out].T @ free
+    t, _, _, _ = np.linalg.lstsq(H, -alpha[out], rcond=None)
+    r = alpha[out] + H @ t
+    r_norm = float(np.linalg.norm(r))
+    if r_norm <= 1e-12 * float(np.linalg.norm(c)):
+        return 0.0, lam_c + free @ t, np.zeros(0, dtype=int)
+    # the same dual on well-conditioned rows: alpha's part orthogonal to H,
+    # scaled by a power of two (exact), and an orthonormal basis Q of H
+    Q, RH = np.linalg.qr(H)
+    k = int(np.frexp(r_norm)[1])
+    e = np.zeros(1 + free.shape[1])
+    e[0] = 1.0
+    try:
+        basis, _, _, theta = _l1_program(np.vstack([np.ldexp(r, -k), Q.T]), e, d[out])
+    except SolverError:
+        return None
+    if theta[0] <= 0.0:
+        return None
+    rho = np.ldexp(1.0 / theta[0], k)
+    v = np.linalg.solve(RH, theta[1:])
+    return 2.0 * rho, lam_c + rho * lam_d + free @ (t + rho * v), out[basis]
 
 
 def _initial_state(Rh, y, Ah, a):
-    """Start weights, multipliers and tau_0, in the penalty-rescaled problem.
+    """Start weights, multipliers, tau_0 and the off-support indices tight at
+    tau_0, in the penalty-rescaled problem.
 
     Takes the arrays of `_prepare`. A zero (or absent) right-hand side
-    starts at w = 0 with minimax multipliers. Otherwise the start is the
-    least-squares point of the l1-minimal face of the constraints, certified
-    as the path top by a multiplier line that keeps it stationary above the
-    knee tau_0.
+    starts at w = 0; otherwise the start is the least-squares point of the
+    l1-minimal face of the constraints. Either point is then certified as
+    the path top by `_certify_knee`, whose multiplier line keeps it
+    stationary above the knee tau_0.
     """
-    N = Rh.shape[1]
     if Ah.shape[0] == 0 or float(np.max(np.abs(Ah.T @ a), initial=0.0)) <= 1e-300:
-        lam0, phi = _start_multipliers(Rh.T @ y, Ah)
-        return np.zeros(N), lam0, 2.0 * phi
-    face, signs, x = _l1_face(Ah, a)
-    w = _face_lsq(Rh, y, Ah, a, face, signs, x)
+        w = np.zeros(Rh.shape[1])
+    else:
+        w = _face_lsq(Rh, y, Ah, a, *_l1_face(Ah, a))
     cert = _certify_knee(Rh, y, Ah, a, w)
     if cert is None:
         raise SolverError("start point could not be certified as path top")
-    tau0, lam = cert
-    return w, lam, tau0
+    tau0, lam, tight = cert
+    return w, lam, tau0, tight
 
 
-def _start_breakpoint(RtR, Rh, y, Ah, s, w, lam, tau0, tau_stop, counts):
+def _start_breakpoint(RtR, Rh, y, Ah, s, w, lam, tau0, tight, tau_stop, counts):
     """START breakpoint, working set, member signs and first direction.
 
     Non-members carry sign 0 in the returned sign vector.
@@ -514,9 +480,13 @@ def _start_breakpoint(RtR, Rh, y, Ah, s, w, lam, tau0, tau_stop, counts):
     b = Rh.T @ (y - Rh @ w) + Ah.T @ lam
     scale = max(1.0, float(np.max(np.abs(b), initial=0.0)), tau0)
     ztol = ZERO_TIE_REL * scale
-    # members: every boundary index plus every index carrying weight;
-    # only weightless members may be dropped by direction validation
-    J = np.flatnonzero((np.abs(b) >= tau0 / 2.0 - ztol) | (w != 0.0)).tolist()
+    # members: every boundary index plus every index carrying weight; the
+    # knee certificate's tight indices count as boundary whatever rounding
+    # did to their residual. Only weightless members may be dropped by
+    # direction validation
+    on = (np.abs(b) >= tau0 / 2.0 - ztol) | (w != 0.0)
+    on[tight] = True
+    J = np.flatnonzero(on).tolist()
     sign = np.zeros(len(w))
     sign[J] = np.where(w[J] != 0.0, np.sign(w[J]), np.where(b[J] >= 0, 1.0, -1.0))
     if tau0 > tau_stop + ztol:
@@ -620,8 +590,8 @@ def find_constrained_start(problem, constraints):
         SolverError: the start could not be built or certified.
     """
     Rh, y, Ah, a, s = _prepare(problem, constraints)
-    w, lam, tau0 = _initial_state(Rh, y, Ah, a)
-    bp, *_ = _start_breakpoint(Rh.T @ Rh, Rh, y, Ah, s, w, lam, tau0,
+    w, lam, tau0, tight = _initial_state(Rh, y, Ah, a)
+    bp, *_ = _start_breakpoint(Rh.T @ Rh, Rh, y, Ah, s, w, lam, tau0, tight,
                                problem.tau_stop, Counter())
     return bp, tau0
 
@@ -640,13 +610,13 @@ def solve_constrained_path(problem, constraints, max_active=None):
             non-member beyond the boundary, or the breakpoint budget ran out.
     """
     Rh, y, Ah, a, s = _prepare(problem, constraints)
-    w, lam, tau0 = _initial_state(Rh, y, Ah, a)
+    w, lam, tau0, tight = _initial_state(Rh, y, Ah, a)
     RtR = Rh.T @ Rh
     N = Rh.shape[1]
     tau_stop = problem.tau_stop
     counts = Counter()
     bp, J, sign, uJ, svec, b, ztol = _start_breakpoint(
-        RtR, Rh, y, Ah, s, w, lam, tau0, tau_stop, counts)
+        RtR, Rh, y, Ah, s, w, lam, tau0, tight, tau_stop, counts)
     bps = [bp]
     budget = 60 * N + 120
     tau = tau0

@@ -190,6 +190,23 @@ def test_unknown_config_key_exit_2(tmp_path):
     assert "problemz" in proc.stderr
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("solve", "--paper-mode", None),
+    ("backtest", "--format", "csv"),
+])
+def test_flag_the_command_does_not_use_exit_2(tmp_path, command, flag, value):
+    # --paper-mode only shapes backtest tables, --format only path files
+    argv = [flag] if value is None else [flag, value]
+    proc = run_cli(command, *argv, "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert flag in proc.stderr
+    key = flag[2:].replace("-", "_")
+    config = write_json(tmp_path / "cfg.json", {key: value or True})
+    proc = run_cli(command, "--config", config)
+    assert proc.returncode == 2
+    assert "unknown config key" in proc.stderr
+
+
 # --- backtest ---
 
 def test_backtest_outputs(tmp_path):

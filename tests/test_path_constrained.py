@@ -252,6 +252,23 @@ def test_random_paths_certified(seed, shape):
         assert np.all(bp.weights[off] == 0.0)
 
 
+def test_zero_rhs_start_with_ill_conditioned_rows():
+    # rows with condition number 1e5 blur the start residuals of the indices
+    # tight at the knee past the tie tolerance; they must still join the
+    # working set, or a later breakpoint finds them beyond the boundary
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n, m = 8, int(rng.integers(1, 4))
+        U, _, Vt = np.linalg.svd(rng.standard_normal((m, n)), full_matrices=False)
+        A = U @ np.diag(np.geomspace(1.0, 1e-5, m)) @ Vt
+        problem = PenalizedProblem(design=rng.standard_normal((10, n)),
+                                   target=rng.standard_normal(10))
+        path = solve_constrained_path(problem, AffineConstraints(A, np.zeros(m)))
+        scale = max(1.0, path.breakpoints[0].tau)
+        for bp in path.breakpoints:
+            assert certificate_violation(problem, bp) <= 1e-9 * scale
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_l1_monotonicity_product(seed):
     # the monotone quantity is the penalty value sum(s_i |w_i|); it reduces

@@ -169,6 +169,27 @@ def test_no_short_rejects_negative_start():
         select_no_short(path, problem)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_riskless_top_asset_is_the_whole_path(seed):
+    # a constant-return asset with the highest mean, targeted exactly: all
+    # weight on it fits rho 1_T with zero error at the least l1 norm, so it
+    # is optimal for every tau >= 0 and the path is one START at tau 0
+    j = seed % 5
+    returns = random_panel(24, 5, seed=seed).returns.copy()
+    returns[:, j] = 0.05
+    panel = make_panel(returns)
+    mu = panel.returns.mean(axis=0)
+    assert np.argmax(mu) == j
+    problem, cons = build_markowitz_problem(spec_for(panel, rho=float(mu[j])))
+    path = solve_portfolio_path(problem, cons)
+    assert len(path.breakpoints) == 1
+    bp = path.breakpoints[0]
+    assert bp.event.kind == "START" and bp.tau == 0.0
+    sel = select_no_short(path, problem)
+    assert sel.tau == 0.0 and sel.active_count == 1
+    np.testing.assert_allclose(sel.weights, np.eye(5)[j], rtol=0.0, atol=1e-12)
+
+
 def test_exact_k_at_start_count_returns_start():
     problem, cons = markowitz_instance(1)
     path = solve_portfolio_path(problem, cons)

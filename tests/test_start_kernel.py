@@ -2,7 +2,10 @@
 
 Both start problems are one small linear program: the l1-minimal face of
 Ah w = a (nonzero right-hand side) and the minimax min_lam max|c + A^T lam|
-(zero right-hand side). The kernel solves them by simplex pivots; the
+(zero right-hand side). The kernel solves them by simplex pivots. The face
+is checked directly; the minimax through the public find_constrained_start
+on the problem with identity design, target c and a zero right-hand side,
+whose START sits at tau = 2 phi with the minimax multipliers. The
 references in oracles.py list every candidate vertex. Instances are random
 or deliberately tied: duplicated columns, equal means, a target at the edge
 of the mean span, and c in A's row space.
@@ -12,7 +15,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsefolio.path_constrained import _l1_face, _start_multipliers
+from sparsefolio import AffineConstraints, PenalizedProblem, find_constrained_start
+from sparsefolio.path_constrained import _l1_face
 
 from oracles import enum_l1_face, enum_minimax
 
@@ -84,7 +88,10 @@ def test_face_matches_vertex_enumeration(seed, n, m, kind):
        m=st.integers(1, 2), kind=st.sampled_from(KINDS))
 def test_minimax_matches_vertex_enumeration(seed, n, m, kind):
     c, A = minimax_instance(seed, n, m, kind)
-    lam, phi = _start_multipliers(c, A)
+    bp, tau0 = find_constrained_start(PenalizedProblem(design=np.eye(n), target=c),
+                                      AffineConstraints(matrix=A, rhs=np.zeros(m)))
+    assert bp.event.kind == "START" and bp.tau == tau0
+    lam, phi = bp.multipliers, tau0 / 2.0
     _, ref_phi = enum_minimax(c, A)
     tol = 1e-10 * max(1.0, float(np.max(np.abs(c))))
     assert abs(phi - ref_phi) <= tol
