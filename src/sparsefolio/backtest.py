@@ -127,6 +127,9 @@ class PerformanceStats:
 
     Values are in the series' own units (annualized decimals as produced by
     run_exercise); sharpe is the unitless ratio mean_monthly / std_monthly.
+    period is the first and last month of the series inside the requested
+    period, so it is narrower than the request when the series has no
+    months at its ends (for instance after failed construction years).
     """
 
     mean_monthly: float
@@ -149,8 +152,9 @@ def compute_stats(series: MonthlySeries, period: tuple) -> PerformanceStats:
             ratio is undefined.
     """
     lo, hi = month_index(period[0]), month_index(period[1])
-    mask = np.array([lo <= month_index(d) <= hi for d in series.months], dtype=bool)
-    vals = series.values[mask]
+    inside = [lo <= month_index(d) <= hi for d in series.months]
+    months = [d for d, keep in zip(series.months, inside) if keep]
+    vals = series.values[np.array(inside, dtype=bool)]
     if vals.shape[0] < 2:
         raise InputError(
             f"period {_fmt_month(period[0])}..{_fmt_month(period[1])} covers "
@@ -164,7 +168,7 @@ def compute_stats(series: MonthlySeries, period: tuple) -> PerformanceStats:
         mean_monthly=m,
         std_monthly=sigma,
         sharpe=m / sigma,
-        period=(period[0], period[1]),
+        period=(months[0], months[-1]),
         n_months=int(vals.shape[0]),
     )
 
@@ -371,16 +375,23 @@ def pct_cell(x: float, paper_mode: bool) -> str:
 
 
 def stats_table_csv(report: BacktestReport, paper_mode: bool = False) -> str:
-    """Period-by-period m, sigma, S table for the policy and the benchmark."""
+    """Period-by-period m, sigma, S table for the policy and the benchmark.
+
+    Each row is labelled with the months its statistics cover: the policy
+    block's, or the benchmark block's when the policy has none, or else the
+    configured period.
+    """
     lab = report.policy.label
     lines = [
         "period,"
         f"{lab}_m,{lab}_sigma,{lab}_sharpe,"
         "equal_weight_m,equal_weight_sigma,equal_weight_sharpe"
     ]
-    for (start, end), st, bs in zip(
+    for configured, st, bs in zip(
         report.evaluation_periods, report.stats, report.benchmark_stats
     ):
+        covered = st if st is not None else bs
+        start, end = configured if covered is None else covered.period
         period = f"{_fmt_month(start)}..{_fmt_month(end)}"
         cells = []
         for block in (st, bs):

@@ -65,6 +65,7 @@ log = logging.getLogger(__name__)
 
 _RESID_REL = 1e-9    # consistency gate for least-squares solves
 _COND_LIMIT = 1e12   # constraint rows closer to dependence than this are rejected
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,35 +149,49 @@ def _minnorm_solve(M: np.ndarray, rhs: np.ndarray):
 
 
 def _consistency_gate(rhs_scale: float, kappa: float) -> float:
-    eps = np.finfo(float).eps
-    return max(1.0, rhs_scale) * max(_RESID_REL, 50.0 * eps * kappa)
+    return max(1.0, rhs_scale) * max(_RESID_REL, 50.0 * _EPS * kappa)
 
 
-def _bordered_direction(GJJ: np.ndarray, AJ: np.ndarray, sigma: np.ndarray):
+# the direction right-hand side (sigma; 0) has entries +-1 and 0 only, so
+# the plain gate of an LU solution is the gate at scale 1
+_LU_GATE = _consistency_gate(1.0, 1.0)
+
+
+def _bordered_matrix(RtR: np.ndarray, Ah: np.ndarray) -> np.ndarray:
+    """[R^T R, -A^T; A, 0] over every index; R^T R itself when m = 0.
+
+    The direction system on a working set J is this matrix gathered on the
+    rows and columns (J, N..N+m-1).
+    """
+    m, n = Ah.shape
+    if m == 0:
+        return RtR
+    G = np.zeros((n + m, n + m))
+    G[:n, :n] = RtR
+    G[:n, n:] = -Ah.T
+    G[n:, :n] = Ah
+    return G
+
+
+def _bordered_direction(K: np.ndarray, rhs: np.ndarray, k: int):
     """Weight and multiplier velocities of the Lagrangian continuation.
 
-    Solves [G_JJ, -A_J^T; A_J, 0] (u_J; s) = (sigma; 0) by LU, kept when its
-    residual passes the plain consistency gate. Otherwise (a singular or
-    ill-conditioned system) the min-norm least-squares solution is taken: a
-    consistent but rank-deficient system gets the min-norm multipliers (the
-    weight block is then still unique on the data seen by the path), and an
-    inconsistent one raises SingularActiveSystem. The third value returned
-    tells whether that fallback ran.
+    Solves the bordered system [G_JJ, -A_J^T; A_J, 0] (u_J; s) = (sigma; 0),
+    given as K and rhs with k = |J| (with no constraint rows that is
+    G_JJ u_J = sigma itself), by LU, kept when its residual passes the plain
+    consistency gate. Otherwise (a singular or ill-conditioned system) the
+    min-norm least-squares solution is taken: a consistent but
+    rank-deficient system gets the min-norm multipliers (the weight block is
+    then still unique on the data seen by the path), and an inconsistent one
+    raises SingularActiveSystem. The third value returned tells whether that
+    fallback ran.
     """
-    k = len(sigma)
-    m = AJ.shape[0]
-    K = np.zeros((k + m, k + m))
-    K[:k, :k] = GJJ
-    K[:k, k:] = -AJ.T
-    K[k:, :k] = AJ
-    rhs = np.concatenate([sigma, np.zeros(m)])
     try:
         x = np.linalg.solve(K, rhs)
     except np.linalg.LinAlgError:  # exactly singular
         pass
     else:
-        resid = float(np.max(np.abs(K @ x - rhs), initial=0.0))
-        if resid <= _consistency_gate(float(np.max(np.abs(rhs), initial=0.0)), 1.0):
+        if float(np.abs(K @ x - rhs).max(initial=0.0)) <= _LU_GATE:
             return x[:k], x[k:], False
     x, resid, kappa = _minnorm_solve(K, rhs)
     rhs_scale = max(float(np.max(np.abs(rhs), initial=0.0)),
@@ -472,7 +487,7 @@ def _initial_state(Rh, y, Ah, a):
     return w, lam, tau0, tight
 
 
-def _start_breakpoint(RtR, Rh, y, Ah, s, w, lam, tau0, tight, tau_stop, counts):
+def _start_breakpoint(G, Rh, y, Ah, s, w, lam, tau0, tight, tau_stop, counts):
     """START breakpoint, working set, member signs and first direction.
 
     Non-members carry sign 0 in the returned sign vector.
@@ -486,45 +501,59 @@ def _start_breakpoint(RtR, Rh, y, Ah, s, w, lam, tau0, tight, tau_stop, counts):
     # direction validation
     on = (np.abs(b) >= tau0 / 2.0 - ztol) | (w != 0.0)
     on[tight] = True
-    J = np.flatnonzero(on).tolist()
+    J = np.flatnonzero(on)
     sign = np.zeros(len(w))
     sign[J] = np.where(w[J] != 0.0, np.sign(w[J]), np.where(b[J] >= 0, 1.0, -1.0))
     if tau0 > tau_stop + ztol:
-        entered = {i for i in J if w[i] == 0.0}
-        uJ, svec, J = _validated_real(RtR, Ah, J, sign, entered, ztol, counts)
+        uJ, svec, J = _validated_real(G, J, sign, on & (w == 0.0), ztol, counts)
     else:
         uJ, svec = np.zeros(len(J)), np.zeros(Ah.shape[0])
+    members = _sorted_tuple(J)
     bp = PathBreakpoint(
         tau=tau0,
         weights=w / s,
         generalized_residual=b,
-        active_set=tuple(sorted(J)),
-        event=Event("START", entered=tuple(sorted(J))),
+        active_set=members,
+        event=Event("START", entered=members),
         multipliers=lam.copy(),
     )
     return bp, J, sign, uJ, svec, b, ztol
 
 
-def _validated_real(RtR, Ah, J, sign, entered, ztol, counts):
+def _sorted_tuple(indices) -> tuple:
+    return tuple(sorted(indices.tolist()))
+
+
+def _validated_real(G, J, sign, entered, ztol, counts):
     """Direction on the working set J after tie validation.
 
-    Drops just-entered indices whose velocity opposes their sign, the
-    largest opposing velocity first, until the direction is consistent; a
-    dropped index gets sign 0. counts tallies direction solves and their
-    least-squares fallbacks.
+    G is `_bordered_matrix` of the problem, J an index array and entered a
+    boolean mask over all indices marking the just-entered members. Drops
+    just-entered indices whose velocity opposes their sign, the largest
+    opposing velocity first, until the direction is consistent; a dropped
+    index leaves J (the others keep their order), is cleared in entered and
+    gets sign 0. counts tallies direction solves and their least-squares
+    fallbacks.
     """
+    border = np.arange(len(sign), G.shape[0])  # the constraint rows of G
     while True:
         sig = sign[J]
+        if len(border):
+            rows = np.concatenate((J, border))
+            rhs = np.concatenate((sig, np.zeros(len(border))))
+        else:
+            rows, rhs = J, sig
         uJ, svec, fallback = _bordered_direction(
-            RtR.take(J, axis=0).take(J, axis=1), Ah[:, J], sig)
+            G.take(rows, axis=0).take(rows, axis=1), rhs, len(J))
         counts["solves"] += 1
         counts["fallbacks"] += fallback
-        bad = np.isin(J, list(entered)) & (sig * uJ < -ztol)
-        if not bad.any():
+        bad = entered[J] & (sig * uJ < -ztol)
+        if not np.count_nonzero(bad):
             return uJ, svec, J
-        j = J[int(np.argmax(np.where(bad, np.abs(uJ), -np.inf)))]
-        J = [x for x in J if x != j]
-        entered.discard(j)
+        drop = int(np.argmax(np.where(bad, np.abs(uJ), -np.inf)))
+        j = J[drop]
+        J = np.delete(J, drop)
+        entered[j] = False
         sign[j] = 0.0
 
 
@@ -532,38 +561,36 @@ def _next_event(tau, tau_stop, b, v, w, J, uJ, sign, ztol):
     """Ratio test: the step to the next breakpoint and who meets it there.
 
     Along the direction, a non-member i enters when b_i + gamma v_i reaches
-    +-(tau/2 - gamma), and a member leaves when its weight reaches zero.
+    +-(tau/2 - gamma), and a member leaves when its weight reaches zero. The
+    candidates are stacked in one array, enter-up and enter-down over every
+    index, then leave over J, and take one division and one minimum.
     Returns None when no event comes before tau_stop; otherwise the smallest
     step gamma with every candidate within ztol of it: entering indices in
     index order with their signs (+1 before -1), then leaving indices in
     working-set order.
     """
-    off = sign == 0.0
+    n = len(b)
     half = tau / 2.0
-
-    def enter_steps(num, den):
-        ok = off & (den > ztol) & (num > ztol)
-        return np.divide(num, den, out=np.full(len(num), np.inf), where=ok)
-
-    up = enter_steps(half - b, 1.0 - v)
-    dn = enter_steps(half + b, 1.0 + v)
     wJ = w[J]
-    out = np.divide(-wJ, uJ, out=np.full(len(J), np.inf),
-                    where=(wJ != 0.0) & (uJ != 0.0))
-    out[out <= ztol] = np.inf
-    best = float(min(up.min(initial=np.inf), dn.min(initial=np.inf),
-                     out.min(initial=np.inf)))
+    num = np.concatenate((half - b, half + b, -wJ))
+    den = np.concatenate((1.0 - v, 1.0 + v, uJ))
+    off = sign == 0.0
+    ok = np.concatenate((off, off, uJ != 0.0))
+    ok[:2 * n] &= np.minimum(num[:2 * n], den[:2 * n]) > ztol
+    step = np.divide(num, den, out=np.full(len(num), np.inf), where=ok)
+    leave = step[2 * n:]
+    leave[leave <= ztol] = np.inf  # weightless, or moving away from zero
+    best = float(step.min())
     if best >= (tau - tau_stop) / 2.0 - ztol:
         return None
-    enter = np.flatnonzero((up <= best + ztol) | (dn <= best + ztol))
-    enter_sign = np.where(up[enter] <= best + ztol, 1.0, -1.0)
-    left = np.asarray(J, dtype=int)[out <= best + ztol]
-    return best, enter, enter_sign, left
+    hit = step <= best + ztol
+    enter = (hit[:n] | hit[n:2 * n]).nonzero()[0]
+    return best, enter, np.where(hit[enter], 1.0, -1.0), J[hit[2 * n:]]
 
 
 def _check_off_support(b, sign, tau, ztol):
     """Raise when a non-member's residual lies beyond the boundary +-tau/2."""
-    gap = float(np.max(np.abs(b[sign == 0.0]), initial=0.0)) - tau / 2.0
+    gap = float((np.abs(b) * (sign == 0.0)).max()) - tau / 2.0
     if gap > 1000.0 * ztol:
         raise SolverError(
             f"path left the optimum at tau = {tau:.6g}: a non-member's "
@@ -591,8 +618,8 @@ def find_constrained_start(problem, constraints):
     """
     Rh, y, Ah, a, s = _prepare(problem, constraints)
     w, lam, tau0, tight = _initial_state(Rh, y, Ah, a)
-    bp, *_ = _start_breakpoint(Rh.T @ Rh, Rh, y, Ah, s, w, lam, tau0, tight,
-                               problem.tau_stop, Counter())
+    bp, *_ = _start_breakpoint(_bordered_matrix(Rh.T @ Rh, Ah), Rh, y, Ah, s,
+                               w, lam, tau0, tight, problem.tau_stop, Counter())
     return bp, tau0
 
 
@@ -612,14 +639,16 @@ def solve_constrained_path(problem, constraints, max_active=None):
     Rh, y, Ah, a, s = _prepare(problem, constraints)
     w, lam, tau0, tight = _initial_state(Rh, y, Ah, a)
     RtR = Rh.T @ Rh
-    N = Rh.shape[1]
+    G = _bordered_matrix(RtR, Ah)
+    m, N = Ah.shape
     tau_stop = problem.tau_stop
     counts = Counter()
     bp, J, sign, uJ, svec, b, ztol = _start_breakpoint(
-        RtR, Rh, y, Ah, s, w, lam, tau0, tight, tau_stop, counts)
+        G, Rh, y, Ah, s, w, lam, tau0, tight, tau_stop, counts)
     bps = [bp]
     budget = 60 * N + 120
     tau = tau0
+    entered = np.zeros(N, dtype=bool)
     # every regular breakpoint lands above tau_stop + ztol; STOP ends the loop
     while tau > tau_stop + ztol:
         if len(bps) > budget:
@@ -628,7 +657,9 @@ def solve_constrained_path(problem, constraints, max_active=None):
             break
         u = np.zeros(N)
         u[J] = uJ
-        v = RtR @ u - Ah.T @ svec
+        v = RtR @ u
+        if m:
+            v -= Ah.T @ svec
         hit = _next_event(tau, tau_stop, b, v, w, J, uJ, sign, ztol)
         gamma = (tau - tau_stop) / 2.0 if hit is None else hit[0]
         w = w + gamma * u
@@ -639,21 +670,24 @@ def solve_constrained_path(problem, constraints, max_active=None):
         else:
             _, enter, enter_sign, left = hit
             tau = tau - 2.0 * gamma
-            w[left] = 0.0  # crossings land exactly on zero
-            sign[left] = 0.0
-            J = [j for j in J if sign[j] != 0.0] + enter.tolist()
+            if len(left):
+                w[left] = 0.0  # crossings land exactly on zero
+                sign[left] = 0.0
+                J = J[sign[J] != 0.0]
+            J = np.concatenate((J, enter))
             sign[enter] = enter_sign
         b = Rh.T @ (y - Rh @ w) + Ah.T @ lam
         if hit is not None:
-            uJ, svec, J = _validated_real(RtR, Ah, J, sign, set(enter.tolist()),
-                                          ztol, counts)
-            entered = sorted(set(enter.tolist()) & set(J))
-            event = Event("ENTER" if entered else "LEAVE", entered=tuple(entered),
-                          left=tuple(sorted(left.tolist())))
+            entered[enter] = True
+            uJ, svec, J = _validated_real(G, J, sign, entered, ztol, counts)
+            kept = enter[entered[enter]]
+            entered[enter] = False
+            event = Event("ENTER" if len(kept) else "LEAVE", entered=tuple(kept.tolist()),
+                          left=_sorted_tuple(left))
         _check_off_support(b, sign, tau, ztol)
         bps.append(PathBreakpoint(
             tau=tau, weights=w / s, generalized_residual=b,
-            active_set=tuple(sorted(J)), event=event, multipliers=lam.copy()))
+            active_set=_sorted_tuple(J), event=event, multipliers=lam.copy()))
     log.debug("continuation: %d breakpoints, %d direction solves, "
               "%d least-squares fallbacks",
               len(bps), counts["solves"], counts["fallbacks"])

@@ -8,6 +8,13 @@ the quadratic program, and the two vertex enumerations solve the path
 start's small linear programs (the l1-minimal face and the zero-rhs
 minimax) by listing candidate vertices. They are deliberately brute force
 and live with the tests, outside the installed package.
+
+The reference continuation (`reference_continuation`, with its step
+`reference_next_event` and `reference_validated_real`) is the engine's
+continuation in its first, plainer form: Python lists and sets for the
+working set, one ratio array per candidate kind, and a freshly bordered
+matrix per solve. It takes its start from the engine, and the engine's
+leaner step must agree with it bit for bit.
 """
 from __future__ import annotations
 
@@ -16,9 +23,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from sparsefolio.errors import InputError, SolverError
+from sparsefolio.errors import InputError, SingularActiveSystem, SolverError
+from sparsefolio import path_constrained
 from sparsefolio.path_constrained import AffineConstraints
-from sparsefolio.path_unconstrained import PenalizedProblem
+from sparsefolio.path_unconstrained import ZERO_TIE_REL, Event, PenalizedProblem
 
 __all__ = [
     "NoFeasiblePattern",
@@ -29,6 +37,9 @@ __all__ = [
     "oracle_nonnegative_qp",
     "enum_l1_face",
     "enum_minimax",
+    "reference_continuation",
+    "reference_next_event",
+    "reference_validated_real",
 ]
 
 
@@ -531,3 +542,160 @@ def enum_minimax(c, A):
     vals = np.max(np.abs(c[None, :] + pts @ D.T), axis=1)
     j = int(np.argmin(vals))
     return Ur @ pts[j], float(vals[j])
+
+
+# --- reference continuation step ---
+
+def _reference_minnorm_solve(M, rhs):
+    if M.shape[0] == 0 or M.shape[1] == 0:
+        return np.zeros(M.shape[1]), float(np.max(np.abs(rhs), initial=0.0)), 1.0
+    x, _, rank, sv = np.linalg.lstsq(M, rhs, rcond=None)
+    resid = float(np.max(np.abs(M @ x - rhs), initial=0.0))
+    kappa = float(sv[0] / sv[rank - 1]) if rank else 1.0
+    return x, resid, kappa
+
+
+def _reference_gate(rhs_scale, kappa):
+    eps = np.finfo(float).eps
+    return max(1.0, rhs_scale) * max(1e-9, 50.0 * eps * kappa)
+
+
+def _reference_bordered_direction(GJJ, AJ, sigma):
+    """(u_J, s, fallback) of [G_JJ, -A_J^T; A_J, 0] (u_J; s) = (sigma; 0)."""
+    k = len(sigma)
+    m = AJ.shape[0]
+    K = np.zeros((k + m, k + m))
+    K[:k, :k] = GJJ
+    K[:k, k:] = -AJ.T
+    K[k:, :k] = AJ
+    rhs = np.concatenate([sigma, np.zeros(m)])
+    try:
+        x = np.linalg.solve(K, rhs)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        resid = float(np.max(np.abs(K @ x - rhs), initial=0.0))
+        if resid <= _reference_gate(float(np.max(np.abs(rhs), initial=0.0)), 1.0):
+            return x[:k], x[k:], False
+    x, resid, kappa = _reference_minnorm_solve(K, rhs)
+    rhs_scale = max(float(np.max(np.abs(rhs), initial=0.0)),
+                    float(np.max(np.abs(K), initial=0.0))
+                    * float(np.max(np.abs(x), initial=0.0)))
+    if resid > _reference_gate(rhs_scale, kappa):
+        raise SingularActiveSystem("bordered optimality system is inconsistent")
+    return x[:k], x[k:], True
+
+
+def reference_validated_real(RtR, Ah, J, sign, entered, ztol, counts):
+    """Direction on the working set J (a list) after tie validation.
+
+    entered is the set of just-entered indices. Drops those whose velocity
+    opposes their sign, the largest opposing velocity first, until the
+    direction is consistent; a dropped index gets sign 0. Returns
+    (u_J, s, J).
+    """
+    while True:
+        sig = sign[J]
+        uJ, svec, fallback = _reference_bordered_direction(
+            RtR.take(J, axis=0).take(J, axis=1), Ah[:, J], sig)
+        counts["solves"] += 1
+        counts["fallbacks"] += fallback
+        bad = np.isin(J, list(entered)) & (sig * uJ < -ztol)
+        if not bad.any():
+            return uJ, svec, J
+        j = J[int(np.argmax(np.where(bad, np.abs(uJ), -np.inf)))]
+        J = [x for x in J if x != j]
+        entered.discard(j)
+        sign[j] = 0.0
+
+
+def reference_next_event(tau, tau_stop, b, v, w, J, uJ, sign, ztol):
+    """Ratio test: None, or (step, entering, their signs, leaving)."""
+    off = sign == 0.0
+    half = tau / 2.0
+
+    def enter_steps(num, den):
+        ok = off & (den > ztol) & (num > ztol)
+        return np.divide(num, den, out=np.full(len(num), np.inf), where=ok)
+
+    up = enter_steps(half - b, 1.0 - v)
+    dn = enter_steps(half + b, 1.0 + v)
+    wJ = w[J]
+    out = np.divide(-wJ, uJ, out=np.full(len(J), np.inf),
+                    where=(wJ != 0.0) & (uJ != 0.0))
+    out[out <= ztol] = np.inf
+    best = float(min(up.min(initial=np.inf), dn.min(initial=np.inf),
+                     out.min(initial=np.inf)))
+    if best >= (tau - tau_stop) / 2.0 - ztol:
+        return None
+    enter = np.flatnonzero((up <= best + ztol) | (dn <= best + ztol))
+    enter_sign = np.where(up[enter] <= best + ztol, 1.0, -1.0)
+    left = np.asarray(J, dtype=int)[out <= best + ztol]
+    return best, enter, enter_sign, left
+
+
+def reference_continuation(problem, constraints):
+    """Breakpoints of the path from the engine's start, continued by the
+    reference step.
+
+    Returns a list of (tau, weights, generalized residual, active set,
+    event, multipliers) tuples in the engine's units, or raises what the
+    continuation raises.
+    """
+    Rh, y, Ah, a, s = path_constrained._prepare(problem, constraints)
+    w, lam, tau0, tight = path_constrained._initial_state(Rh, y, Ah, a)
+    RtR = Rh.T @ Rh
+    N = Rh.shape[1]
+    tau_stop = problem.tau_stop
+    counts = {"solves": 0, "fallbacks": 0}
+    b = Rh.T @ (y - Rh @ w) + Ah.T @ lam
+    ztol = ZERO_TIE_REL * max(1.0, float(np.max(np.abs(b), initial=0.0)), tau0)
+    on = (np.abs(b) >= tau0 / 2.0 - ztol) | (w != 0.0)
+    on[tight] = True
+    J = np.flatnonzero(on).tolist()
+    sign = np.zeros(N)
+    sign[J] = np.where(w[J] != 0.0, np.sign(w[J]), np.where(b[J] >= 0, 1.0, -1.0))
+    if tau0 > tau_stop + ztol:
+        entered = {i for i in J if w[i] == 0.0}
+        uJ, svec, J = reference_validated_real(RtR, Ah, J, sign, entered, ztol, counts)
+    else:
+        uJ, svec = np.zeros(len(J)), np.zeros(Ah.shape[0])
+    bps = [(tau0, w / s, b, tuple(sorted(J)),
+            Event("START", entered=tuple(sorted(J))), lam.copy())]
+    budget = 60 * N + 120
+    tau = tau0
+    while tau > tau_stop + ztol:
+        if len(bps) > budget:
+            raise SolverError("constrained path exceeded its breakpoint budget")
+        u = np.zeros(N)
+        u[J] = uJ
+        v = RtR @ u - Ah.T @ svec
+        hit = reference_next_event(tau, tau_stop, b, v, w, J, uJ, sign, ztol)
+        gamma = (tau - tau_stop) / 2.0 if hit is None else hit[0]
+        w = w + gamma * u
+        lam = lam + gamma * svec
+        if hit is None:
+            tau = tau_stop
+            event = Event("STOP")
+        else:
+            _, enter, enter_sign, left = hit
+            tau = tau - 2.0 * gamma
+            w[left] = 0.0
+            sign[left] = 0.0
+            J = [j for j in J if sign[j] != 0.0] + enter.tolist()
+            sign[enter] = enter_sign
+        b = Rh.T @ (y - Rh @ w) + Ah.T @ lam
+        if hit is not None:
+            uJ, svec, J = reference_validated_real(
+                RtR, Ah, J, sign, set(enter.tolist()), ztol, counts)
+            entered = sorted(set(enter.tolist()) & set(J))
+            event = Event("ENTER" if entered else "LEAVE", entered=tuple(entered),
+                          left=tuple(sorted(left.tolist())))
+        gap = float(np.max(np.abs(b[sign == 0.0]), initial=0.0)) - tau / 2.0
+        if gap > 1000.0 * ztol:
+            raise SolverError(
+                f"path left the optimum at tau = {tau:.6g}: a non-member's "
+                f"residual exceeds tau/2 by {gap:.3e}"
+            )
+        bps.append((tau, w / s, b, tuple(sorted(J)), event, lam.copy()))
+    return bps

@@ -1,5 +1,6 @@
 """Rolling construction exercise, pooled statistics, presentation tables."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -31,7 +32,7 @@ from sparsefolio.backtest import (
 )
 from sparsefolio import errors, jsonio
 
-from conftest import degenerate_1979_panel
+from conftest import degenerate_1979_panel, factor_panel
 
 
 def month_grid(start, t):
@@ -118,6 +119,17 @@ def test_stats_period_masking_and_short_period():
     assert np.isclose(st.mean_monthly, np.mean(vals[2:6]))
     with pytest.raises(InputError):
         compute_stats(series, ((2001, 1), (2001, 2)))  # nothing in range
+
+
+def test_stats_period_is_the_months_covered():
+    series = MonthlySeries(months=month_grid((2000, 1), 10),
+                           values=np.arange(10, dtype=float) / 100.0)
+    assert compute_stats(series, ((2000, 3), (2000, 6))).period == (
+        (2000, 3), (2000, 6))
+    assert compute_stats(series, ((1999, 1), (2000, 4))).period == (
+        (2000, 1), (2000, 4))
+    assert compute_stats(series, ((2000, 9), (2001, 12))).period == (
+        (2000, 9), (2000, 10))
 
 
 # --- run_exercise ---
@@ -277,6 +289,33 @@ def test_stats_table_formats():
     cells = paper[1].split(",")
     assert cells[1] == str(int(round(100.0 * st.mean_monthly)))
     assert "." not in cells[1]
+
+
+def test_stats_table_labels_rows_with_the_months_covered():
+    # 2001-06..2008-06 on a panel ending 2006-06: the 2006-2008 holding
+    # windows are missing, so those years fail and every statistic covers
+    # 2001-07..2006-06, which the row label must say
+    panel = ReturnPanel(returns=factor_panel(0, 48, 432),
+                        dates=month_grid((1970, 7), 432),
+                        asset_names=tuple(f"A{k}" for k in range(48)))
+    report = run_exercise(panel, BacktestConfig(first_construction=(2001, 6),
+                                                last_construction=(2008, 6)))
+    assert [(y, name) for y, name, _ in report.failures] == [
+        (y, "WindowOutOfRange") for y in (2006, 2007, 2008)]
+    assert report.evaluation_periods[0] == ((2001, 7), (2009, 6))
+    assert report.stats[0].period == ((2001, 7), (2006, 6))
+    assert report.stats[0].n_months == 60
+    rows = stats_table_csv(report).splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["2001-07..2006-06"] * 2
+
+
+def test_stats_table_label_falls_back_to_benchmark_then_configured_period():
+    panel = exercise_panel(seed=7, n=3)
+    report = run_exercise(panel, two_year_config(policy=Policy.exact_k(1)))
+    assert report.stats[0] is None
+    assert stats_table_csv(report).splitlines()[1].startswith("1978-07..1980-06,,,,")
+    empty = dataclasses.replace(report, benchmark_stats=(None,) * len(report.stats))
+    assert stats_table_csv(empty).splitlines()[1] == "1978-07..1980-06,,,,,,"
 
 
 def test_active_counts_csv_layout():

@@ -455,14 +455,14 @@ def test_spurious_leave_raises(monkeypatch):
     real = path_constrained._validated_real
     calls = []
 
-    def spurious(RtR, Ah, J, sign, entered, *rest):
-        calls.append(sorted(entered))
+    def spurious(G, J, sign, entered, *rest):
+        calls.append(np.flatnonzero(entered).tolist())
         if len(calls) == 2:
-            j = min(entered)
-            J = [x for x in J if x != j]
-            entered.discard(j)
+            j = calls[1][0]
+            J = J[J != j]
+            entered[j] = False
             sign[j] = 0.0
-        return real(RtR, Ah, J, sign, entered, *rest)
+        return real(G, J, sign, entered, *rest)
 
     problem = PenalizedProblem(design=np.eye(3), target=np.array([3.0, 2.0, 1.0]))
     monkeypatch.setattr(path_constrained, "_validated_real", spurious)
