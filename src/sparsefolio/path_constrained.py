@@ -20,8 +20,15 @@ tau at once. The path is computed in two stages:
      system from tau_0 down to tau_stop, moving weights and multipliers
      jointly and recording a breakpoint at every support change. Segments
      where only the multipliers move are recorded like any other. Each step
-     solves the bordered direction system by LU (min-norm least squares
-     when that fails) and runs a vectorized ratio test.
+     gathers the direction system on the working set from one bordered
+     matrix over every index, solves it by LU (min-norm least squares when
+     that fails), and runs one ratio test over the stacked enter-up,
+     enter-down and leave candidates: one division and one minimum. Ties
+     list entering indices by index, +1 before -1, then leaving indices in
+     working-set order. The working set is an index array in a fixed order,
+     survivors first in their order and then the entering indices; that
+     order fixes the layout of every direction system, and so every output
+     bit.
 
 This is the package's one continuation engine: with no constraint rows it
 traces the unconstrained path, which `solve_path` returns as it is. Every
