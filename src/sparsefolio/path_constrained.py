@@ -597,6 +597,7 @@ def _next_event(tau, tau_stop, b, v, w, J, uJ, sign, ztol):
 
 def _check_off_support(b, sign, tau, ztol):
     """Raise when a non-member's residual lies beyond the boundary +-tau/2."""
+    # members read as 0, as an empty off-support does
     gap = float((np.abs(b) * (sign == 0.0)).max()) - tau / 2.0
     if gap > 1000.0 * ztol:
         raise SolverError(
