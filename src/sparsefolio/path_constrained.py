@@ -8,7 +8,8 @@ tau at once. The path is computed in two stages:
      the path is constant above a knee tau_0. A zero a starts at w = 0; any
      other a at the least-squares point of the l1-minimal face, which a
      least-squares active-set sweep finds from the optimal basis of the
-     small l1 program min ||x||_1 s.t. A x = a. One knee certificate then
+     small l1 program min ||x||_1 s.t. A x = a, solving on the
+     continuation's bordered matrix by its solve. One knee certificate then
      serves every start: a multiplier line lam(tau) that keeps the point
      stationary above the knee, the smallest such knee being the dual of
      one more small l1 program over the off-support indices. At w = 0 that
@@ -180,13 +181,14 @@ def _bordered_matrix(RtR: np.ndarray, Ah: np.ndarray) -> np.ndarray:
     return G
 
 
-def _bordered_direction(K: np.ndarray, rhs: np.ndarray, k: int):
-    """Weight and multiplier velocities of the Lagrangian continuation.
+def _bordered_direction(K: np.ndarray, rhs: np.ndarray, k: int, gate=_LU_GATE):
+    """Solution (x_J; s) of [G_JJ, -A_J^T; A_J, 0] (x_J; s) = rhs.
 
-    Solves the bordered system [G_JJ, -A_J^T; A_J, 0] (u_J; s) = (sigma; 0),
-    given as K and rhs with k = |J| (with no constraint rows that is
-    G_JJ u_J = sigma itself), by LU, kept when its residual passes the plain
-    consistency gate. Otherwise (a singular or ill-conditioned system) the
+    The system is given as K and rhs with k = |J| (with no constraint rows
+    it is G_JJ x_J = rhs itself): a continuation direction, rhs = (sigma; 0),
+    or a face optimum of the start. Its LU solution is kept when the
+    residual passes gate, by default a direction's plain consistency gate.
+    Otherwise (a singular or ill-conditioned system) the
     min-norm least-squares solution is taken: a consistent but
     rank-deficient system gets the min-norm multipliers (the weight block is
     then still unique on the data seen by the path), and an inconsistent one
@@ -198,7 +200,7 @@ def _bordered_direction(K: np.ndarray, rhs: np.ndarray, k: int):
     except np.linalg.LinAlgError:  # exactly singular
         pass
     else:
-        if float(np.abs(K @ x - rhs).max(initial=0.0)) <= _LU_GATE:
+        if float(np.abs(K @ x - rhs).max(initial=0.0)) <= gate:
             return x[:k], x[k:], False
     x, resid, kappa = _minnorm_solve(K, rhs)
     rhs_scale = max(float(np.max(np.abs(rhs), initial=0.0)),
@@ -346,71 +348,60 @@ def _segment_end(g0, gz):
     return max(0.0, float(np.min(t, initial=np.inf)))
 
 
-def _face_lsq(Rh, y, Ah, a, face, signs, x):
+def _face_lsq(G, Rh, y, Ah, a, face, signs, x, counts):
     """Least-squares optimum over the l1-minimal face.
 
     Solves ``min ||Rh w - y||^2`` over ``{Ah w = a, supp(w) in face,
-    sign(w_i) = signs_i}`` with a primal active-set sweep on the
-    sign-flipped nonnegative variables, starting from the feasible point x.
+    sign(w_i) = signs_i}`` by a primal active-set sweep in w from the
+    feasible point with magnitudes x. The equality optimum on the free set
+    face[free] is G gathered on (free set, constraint rows) with right-hand
+    side (Rh^T y; a), solved by `_bordered_direction` at the consistency
+    gate of that right-hand side's scale; counts tallies the solves and
+    fallbacks. A feasible optimum releases the held index whose signed
+    residual sigma_i b_i (b = Rh^T (y - Rh w) + Ah^T s, the residual the
+    path certifies) is largest, if its descent rate 2 sigma_i b_i is above
+    gtol; an infeasible one is walked toward until the first bound blocks.
     """
-    B = Rh[:, face] * signs
-    E = Ah[:, face] * signs
-    f = len(face)
-    x = x.copy()
-    zero = x <= 0.0
-    x[zero] = 0.0
-    for _ in range(50 + 10 * f):
-        P = np.flatnonzero(~zero)
-        if P.size == 0:
-            break
-        BP = B[:, P]
-        EP = E[:, P]
-        K = np.zeros((P.size + EP.shape[0], P.size + EP.shape[0]))
-        K[:P.size, :P.size] = 2.0 * BP.T @ BP
-        K[:P.size, P.size:] = EP.T
-        K[P.size:, :P.size] = EP
-        rhs = np.concatenate([2.0 * BP.T @ y, a])
-        sol, _, _ = _minnorm_solve(K, rhs)
-        xP = sol[:P.size]
-        nu = sol[P.size:]
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(xP), initial=0.0)))
-        if np.min(xP, initial=0.0) >= -tol:
-            xn = np.zeros(f)
-            xn[P] = np.maximum(xP, 0.0)
-            x = xn
-            grad = 2.0 * B.T @ (B @ x - y) + E.T @ nu
-            gtol = 1e-9 * max(1.0, float(np.max(np.abs(grad), initial=0.0)))
-            release = None
-            for i in np.flatnonzero(zero):
-                if grad[i] < -gtol and (release is None
-                                        or grad[i] < grad[release]):
-                    release = i
-            if release is None:
-                w = np.zeros(Rh.shape[1])
-                w[face] = signs * x
-                return w
-            zero[release] = False
-        else:
-            # walk toward the equality optimum until a bound blocks
-            alpha = 1.0
-            block = None
-            for idx, i in enumerate(P):
-                if xP[idx] < -tol and xP[idx] < x[i]:
-                    r = x[i] / (x[i] - xP[idx])
-                    if r < alpha:
-                        alpha = r
-                        block = i
-            xn = x.copy()
-            xn[P] = x[P] + alpha * (xP - x[P])
-            x = np.maximum(xn, 0.0)
-            if block is not None:
-                x[block] = 0.0
-                zero[block] = True
-    else:
-        raise SolverError("face least-squares active-set did not converge")
+    border = np.arange(Rh.shape[1], G.shape[0])  # the constraint rows of G
+    c = Rh.T @ y
     w = np.zeros(Rh.shape[1])
     w[face] = signs * x
-    return w
+    free = x > 0.0
+    for _ in range(50 + 10 * len(face)):
+        F = face[free]
+        if not F.size:
+            return w
+        sF = signs[free]
+        rows = np.concatenate((F, border))
+        rhs = np.concatenate((c[F], a))
+        wF, lam, fallback = _bordered_direction(
+            G.take(rows, axis=0).take(rows, axis=1), rhs, F.size,
+            _consistency_gate(float(np.abs(rhs).max()), 1.0))
+        counts["face_solves"] += 1
+        counts["face_fallbacks"] += fallback
+        xF = sF * wF  # magnitudes of the equality optimum
+        tol = 1e-12 * max(1.0, float(np.abs(xF).max()))
+        if xF.min() >= -tol:
+            w[F] = sF * np.maximum(xF, 0.0)
+            # a magnitude's descent rate of ||Rh w - y||^2 is 2 sigma_i b_i
+            rate = 2.0 * signs * (Rh.T @ (y - Rh @ w) + Ah.T @ lam)[face]
+            gtol = 1e-9 * max(1.0, float(np.abs(rate).max()))
+            rate[free] = -np.inf
+            release = int(np.argmax(rate))
+            if rate[release] <= gtol:
+                return w
+            free[release] = True
+        else:
+            # walk toward the equality optimum until the first bound blocks
+            xw = sF * w[F]
+            ratio = np.divide(xw, xw - xF, out=np.full(F.size, np.inf),
+                              where=xF < -tol)
+            block = int(np.argmin(ratio))
+            xw = np.maximum(xw + ratio[block] * (xF - xw), 0.0)
+            xw[block] = 0.0
+            w[F] = sF * xw
+            free[np.flatnonzero(free)[block]] = False
+    raise SolverError("face least-squares active-set did not converge")
 
 
 def _certify_knee(Rh, y, Ah, a, w):
@@ -473,32 +464,41 @@ def _certify_knee(Rh, y, Ah, a, w):
     return 2.0 * rho, lam_c + rho * lam_d + free @ (t + rho * v), out[basis]
 
 
-def _initial_state(Rh, y, Ah, a):
-    """Start weights, multipliers, tau_0 and the off-support indices tight at
-    tau_0, in the penalty-rescaled problem.
+def _initial_state(G, Rh, y, Ah, a, counts):
+    """Start route, weights, multipliers, tau_0 and the off-support indices
+    tight at tau_0, in the penalty-rescaled problem.
 
-    Takes the arrays of `_prepare`. A zero (or absent) right-hand side
-    starts at w = 0; otherwise the start is the least-squares point of the
-    l1-minimal face of the constraints. Either point is then certified as
-    the path top by `_certify_knee`, whose multiplier line keeps it
-    stationary above the knee tau_0.
+    Takes the path's bordered matrix G and the arrays of `_prepare`. A zero
+    (or absent) right-hand side starts at w = 0 (route "empty"); otherwise
+    at the least-squares point of the l1-minimal face of the constraints
+    (route "face"), found by `_face_lsq` on G. Either point is then
+    certified as the path top by `_certify_knee`, whose multiplier line
+    keeps it stationary above the knee tau_0.
     """
     if Ah.shape[0] == 0 or float(np.max(np.abs(Ah.T @ a), initial=0.0)) <= 1e-300:
-        w = np.zeros(Rh.shape[1])
+        route, w = "empty", np.zeros(Rh.shape[1])
     else:
-        w = _face_lsq(Rh, y, Ah, a, *_l1_face(Ah, a))
+        route, w = "face", _face_lsq(G, Rh, y, Ah, a, *_l1_face(Ah, a), counts)
     cert = _certify_knee(Rh, y, Ah, a, w)
     if cert is None:
         raise SolverError("start point could not be certified as path top")
     tau0, lam, tight = cert
-    return w, lam, tau0, tight
+    return route, w, lam, tau0, tight
 
 
-def _start_breakpoint(G, Rh, y, Ah, s, w, lam, tau0, tight, tau_stop, counts):
-    """START breakpoint, working set, member signs and first direction.
+def _path_start(problem, constraints, counts):
+    """The prefix of every path: `_prepare`, the bordered matrix G (built
+    once, for the face sweep and every direction solve), the start point
+    and the START breakpoint with its working set and first direction.
 
-    Non-members carry sign 0 in the returned sign vector.
+    Returns ``(Rh, y, Ah, s, RtR, G)``, the start route, the start weights
+    and multipliers, and the START breakpoint, working set, member signs
+    (non-members carry 0), first direction, generalized residual and ztol.
     """
+    Rh, y, Ah, a, s = _prepare(problem, constraints)
+    RtR = Rh.T @ Rh
+    G = _bordered_matrix(RtR, Ah)
+    route, w, lam, tau0, tight = _initial_state(G, Rh, y, Ah, a, counts)
     b = Rh.T @ (y - Rh @ w) + Ah.T @ lam
     scale = max(1.0, float(np.max(np.abs(b), initial=0.0)), tau0)
     ztol = ZERO_TIE_REL * scale
@@ -511,7 +511,7 @@ def _start_breakpoint(G, Rh, y, Ah, s, w, lam, tau0, tight, tau_stop, counts):
     J = np.flatnonzero(on)
     sign = np.zeros(len(w))
     sign[J] = np.where(w[J] != 0.0, np.sign(w[J]), np.where(b[J] >= 0, 1.0, -1.0))
-    if tau0 > tau_stop + ztol:
+    if tau0 > problem.tau_stop + ztol:
         uJ, svec, J = _validated_real(G, J, sign, on & (w == 0.0), ztol, counts)
     else:
         uJ, svec = np.zeros(len(J)), np.zeros(Ah.shape[0])
@@ -524,7 +524,7 @@ def _start_breakpoint(G, Rh, y, Ah, s, w, lam, tau0, tight, tau_stop, counts):
         event=Event("START", entered=members),
         multipliers=lam.copy(),
     )
-    return bp, J, sign, uJ, svec, b, ztol
+    return (Rh, y, Ah, s, RtR, G), route, w, lam, bp, J, sign, uJ, svec, b, ztol
 
 
 def _sorted_tuple(indices) -> tuple:
@@ -624,11 +624,8 @@ def find_constrained_start(problem, constraints):
         InputError: constraints and problem cover different asset counts.
         SolverError: the start could not be built or certified.
     """
-    Rh, y, Ah, a, s = _prepare(problem, constraints)
-    w, lam, tau0, tight = _initial_state(Rh, y, Ah, a)
-    bp, *_ = _start_breakpoint(_bordered_matrix(Rh.T @ Rh, Ah), Rh, y, Ah, s,
-                               w, lam, tau0, tight, problem.tau_stop, Counter())
-    return bp, tau0
+    bp = _path_start(problem, constraints, Counter())[4]
+    return bp, bp.tau
 
 
 def solve_constrained_path(problem, constraints, max_active=None):
@@ -644,18 +641,14 @@ def solve_constrained_path(problem, constraints, max_active=None):
         SolverError: the start could not be built, a breakpoint leaves a
             non-member beyond the boundary, or the breakpoint budget ran out.
     """
-    Rh, y, Ah, a, s = _prepare(problem, constraints)
-    w, lam, tau0, tight = _initial_state(Rh, y, Ah, a)
-    RtR = Rh.T @ Rh
-    G = _bordered_matrix(RtR, Ah)
+    counts = Counter()
+    (Rh, y, Ah, s, RtR, G), route, w, lam, bp, J, sign, uJ, svec, b, ztol = (
+        _path_start(problem, constraints, counts))
     m, N = Ah.shape
     tau_stop = problem.tau_stop
-    counts = Counter()
-    bp, J, sign, uJ, svec, b, ztol = _start_breakpoint(
-        G, Rh, y, Ah, s, w, lam, tau0, tight, tau_stop, counts)
     bps = [bp]
     budget = 60 * N + 120
-    tau = tau0
+    tau = bp.tau
     entered = np.zeros(N, dtype=bool)
     # every regular breakpoint lands above tau_stop + ztol; STOP ends the loop
     while tau > tau_stop + ztol:
@@ -696,22 +689,23 @@ def solve_constrained_path(problem, constraints, max_active=None):
         bps.append(PathBreakpoint(
             tau=tau, weights=w / s, generalized_residual=b,
             active_set=_sorted_tuple(J), event=event, multipliers=lam.copy()))
-    log.debug("continuation: %d breakpoints, %d direction solves, "
+    log.debug("start: %s route, %d face solves, %d face least-squares fallbacks; "
+              "continuation: %d breakpoints, %d direction solves, "
               "%d least-squares fallbacks",
+              route, counts["face_solves"], counts["face_fallbacks"],
               len(bps), counts["solves"], counts["fallbacks"])
     fp = problem.fingerprint(extra=constraints.fingerprint_bytes())
     return SolutionPath(breakpoints=tuple(bps), problem_fingerprint=fp)
 
 
-def solve_path(problem, max_active=None):
+def solve_path(problem):
     """Every breakpoint of the unconstrained path, from tau_0 to tau_stop.
 
     The continuation engine run with no constraint rows: every breakpoint
     carries length-0 multipliers. The first breakpoint has zero weights at
-    tau = initial_tau(problem); the last sits at tau_stop (event STOP)
-    unless max_active truncated the path. When zero is already optimal at
-    tau_stop (in particular for y = 0) the path is one START breakpoint at
-    tau_stop with an empty active set.
+    tau = initial_tau(problem); the last sits at tau_stop (event STOP).
+    When zero is already optimal at tau_stop (in particular for y = 0) the
+    path is one START breakpoint at tau_stop with an empty active set.
     """
     none = AffineConstraints(np.zeros((0, problem.n_assets)), np.zeros(0))
     if initial_tau(problem) <= problem.tau_stop:
@@ -721,4 +715,4 @@ def solve_path(problem, max_active=None):
                               event=Event("START"))
         fp = problem.fingerprint(extra=none.fingerprint_bytes())
         return SolutionPath(breakpoints=(only,), problem_fingerprint=fp)
-    return solve_constrained_path(problem, none, max_active)
+    return solve_constrained_path(problem, none)

@@ -28,7 +28,7 @@ from .errors import (
     LengthMismatch,
     NotNonnegativeStart,
 )
-from .market_data import ReturnPanel, estimate_moments
+from .market_data import ReturnPanel
 from .path_constrained import AffineConstraints, solve_constrained_path
 from .path_unconstrained import PenalizedProblem, SolutionPath
 
@@ -118,7 +118,7 @@ class MarkowitzSpec:
         if not np.isfinite(rho):
             raise InputError("target_return must be finite")
         object.__setattr__(self, "target_return", rho)
-        mu = estimate_moments(self.training_panel).mean
+        mu = self.training_panel.returns.mean(axis=0)
         if rho < mu.min() or rho > mu.max():
             warnings.warn(
                 f"target return {rho:.6g} lies outside the span of asset "
@@ -227,7 +227,7 @@ def build_markowitz_problem(spec: MarkowitzSpec):
             e.g. identical assets.
     """
     panel = spec.training_panel
-    mu = estimate_moments(panel).mean
+    mu = panel.returns.mean(axis=0)
     rho = spec.target_return
     constraints = _markowitz_constraints(mu, rho, 1.0)
     problem = PenalizedProblem(
@@ -397,7 +397,7 @@ def build_adjustment_problem(current, spec: MarkowitzSpec):
         raise CurrentPortfolioInvalid(
             f"current holdings sum to {float(w.sum()):.12g}, expected 1"
         )
-    mu = estimate_moments(panel).mean
+    mu = panel.returns.mean(axis=0)
     constraints = _markowitz_constraints(mu, 0.0, 0.0)
     target = np.full(panel.n_periods, spec.target_return) - panel.returns @ w
     problem = PenalizedProblem(

@@ -15,6 +15,11 @@ continuation in its first, plainer form: Python lists and sets for the
 working set, one ratio array per candidate kind, and a freshly bordered
 matrix per solve. It takes its start from the engine, and the engine's
 leaner step must agree with it bit for bit.
+
+The reference face sweep (`reference_face_lsq`) is the start's
+least-squares active-set sweep in its first form: sign-flipped copies of
+the face columns, a bordered system assembled from scratch per solve and
+solved by min-norm least squares, and Python loops for release and block.
 """
 from __future__ import annotations
 
@@ -38,6 +43,7 @@ __all__ = [
     "enum_l1_face",
     "enum_minimax",
     "reference_continuation",
+    "reference_face_lsq",
     "reference_next_event",
     "reference_validated_real",
 ]
@@ -643,8 +649,10 @@ def reference_continuation(problem, constraints):
     continuation raises.
     """
     Rh, y, Ah, a, s = path_constrained._prepare(problem, constraints)
-    w, lam, tau0, tight = path_constrained._initial_state(Rh, y, Ah, a)
     RtR = Rh.T @ Rh
+    G = path_constrained._bordered_matrix(RtR, Ah)
+    _, w, lam, tau0, tight = path_constrained._initial_state(
+        G, Rh, y, Ah, a, {"face_solves": 0, "face_fallbacks": 0})
     N = Rh.shape[1]
     tau_stop = problem.tau_stop
     counts = {"solves": 0, "fallbacks": 0}
@@ -699,3 +707,70 @@ def reference_continuation(problem, constraints):
             )
         bps.append((tau, w / s, b, tuple(sorted(J)), event, lam.copy()))
     return bps
+
+
+# --- reference face sweep ---
+
+def reference_face_lsq(Rh, y, Ah, a, face, signs, x):
+    """Least-squares optimum over the l1-minimal face, in its first form.
+
+    Solves ``min ||Rh w - y||^2`` over ``{Ah w = a, supp(w) in face,
+    sign(w_i) = signs_i}`` with a primal active-set sweep on the
+    sign-flipped nonnegative variables, starting from the feasible point x.
+    """
+    B = Rh[:, face] * signs
+    E = Ah[:, face] * signs
+    f = len(face)
+    x = x.copy()
+    zero = x <= 0.0
+    x[zero] = 0.0
+    for _ in range(50 + 10 * f):
+        P = np.flatnonzero(~zero)
+        if P.size == 0:
+            break
+        BP = B[:, P]
+        EP = E[:, P]
+        K = np.zeros((P.size + EP.shape[0], P.size + EP.shape[0]))
+        K[:P.size, :P.size] = 2.0 * BP.T @ BP
+        K[:P.size, P.size:] = EP.T
+        K[P.size:, :P.size] = EP
+        rhs = np.concatenate([2.0 * BP.T @ y, a])
+        sol, _, _ = _reference_minnorm_solve(K, rhs)
+        xP = sol[:P.size]
+        nu = sol[P.size:]
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(xP), initial=0.0)))
+        if np.min(xP, initial=0.0) >= -tol:
+            xn = np.zeros(f)
+            xn[P] = np.maximum(xP, 0.0)
+            x = xn
+            grad = 2.0 * B.T @ (B @ x - y) + E.T @ nu
+            gtol = 1e-9 * max(1.0, float(np.max(np.abs(grad), initial=0.0)))
+            release = None
+            for i in np.flatnonzero(zero):
+                if grad[i] < -gtol and (release is None
+                                        or grad[i] < grad[release]):
+                    release = i
+            if release is None:
+                break
+            zero[release] = False
+        else:
+            # walk toward the equality optimum until a bound blocks
+            alpha = 1.0
+            block = None
+            for idx, i in enumerate(P):
+                if xP[idx] < -tol and xP[idx] < x[i]:
+                    r = x[i] / (x[i] - xP[idx])
+                    if r < alpha:
+                        alpha = r
+                        block = i
+            xn = x.copy()
+            xn[P] = x[P] + alpha * (xP - x[P])
+            x = np.maximum(xn, 0.0)
+            if block is not None:
+                x[block] = 0.0
+                zero[block] = True
+    else:
+        raise SolverError("face least-squares active-set did not converge")
+    w = np.zeros(Rh.shape[1])
+    w[face] = signs * x
+    return w

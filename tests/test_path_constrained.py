@@ -475,9 +475,17 @@ def test_engine_logs_one_debug_record_per_path(caplog):
     caplog.set_level(logging.DEBUG, logger="sparsefolio.path_constrained")
     solve_path(PenalizedProblem(design=np.eye(2), target=np.array([3.0, 1.0])))
     solve_path(duplicate_column_problem())
+    # a nonzero budget starts on the face; its sweep releases two indices
+    solve_constrained_path(
+        PenalizedProblem(design=np.eye(3), target=np.array([1.0, 2.0, 3.0])),
+        AffineConstraints(matrix=np.ones((1, 3)), rhs=np.array([1.0])))
     messages = [r.getMessage() for r in caplog.records
                 if r.name == "sparsefolio.path_constrained"]
     assert messages == [
+        "start: empty route, 0 face solves, 0 face least-squares fallbacks; "
         "continuation: 3 breakpoints, 2 direction solves, 0 least-squares fallbacks",
+        "start: empty route, 0 face solves, 0 face least-squares fallbacks; "
         "continuation: 4 breakpoints, 3 direction solves, 2 least-squares fallbacks",
+        "start: face route, 3 face solves, 0 face least-squares fallbacks; "
+        "continuation: 2 breakpoints, 1 direction solves, 0 least-squares fallbacks",
     ]
