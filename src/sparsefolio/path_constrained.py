@@ -181,7 +181,8 @@ def _bordered_matrix(RtR: np.ndarray, Ah: np.ndarray) -> np.ndarray:
     return G
 
 
-def _bordered_direction(K: np.ndarray, rhs: np.ndarray, k: int, gate=_LU_GATE):
+def _bordered_direction(K: np.ndarray, rhs: np.ndarray, k: int,
+                        gate: float = _LU_GATE):
     """Solution (x_J; s) of [G_JJ, -A_J^T; A_J, 0] (x_J; s) = rhs.
 
     The system is given as K and rhs with k = |J| (with no constraint rows
