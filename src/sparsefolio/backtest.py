@@ -59,15 +59,15 @@ class BacktestConfig:
 
     Construction happens at the end of each June from first_construction to
     last_construction inclusive; training uses the training_months window
-    ending at the construction month. evaluation_periods defaults to the
-    full holding span plus every complete 60-month break-out chunk.
+    ending at the construction month. The report is evaluated over
+    default_evaluation_periods(config): the full holding span plus every
+    complete 60-month break-out chunk.
     """
 
     first_construction: tuple = (1976, 6)
     last_construction: tuple = (2005, 6)
     training_months: int = 60
     policy: Policy = field(default_factory=Policy.no_short)
-    evaluation_periods: tuple | None = None
 
     def __post_init__(self):
         for name in ("first_construction", "last_construction"):
@@ -80,17 +80,6 @@ class BacktestConfig:
         if int(self.training_months) < 2:
             raise InputError("training_months must be at least 2")
         object.__setattr__(self, "training_months", int(self.training_months))
-        if self.evaluation_periods is not None:
-            periods = []
-            for start, end in self.evaluation_periods:
-                start, end = (int(start[0]), int(start[1])), (int(end[0]), int(end[1]))
-                if month_index(start) > month_index(end):
-                    raise InputError(
-                        f"evaluation period {_fmt_month(start)}..{_fmt_month(end)} "
-                        "is reversed"
-                    )
-                periods.append((start, end))
-            object.__setattr__(self, "evaluation_periods", tuple(periods))
 
 
 def default_evaluation_periods(config: BacktestConfig) -> tuple:
@@ -252,9 +241,7 @@ def run_exercise(panel: ReturnPanel, config: BacktestConfig) -> BacktestReport:
     contributes no strategy returns; the benchmark series covers every
     holding window that exists.
     """
-    periods = (config.evaluation_periods
-               if config.evaluation_periods is not None
-               else default_evaluation_periods(config))
+    periods = default_evaluation_periods(config)
     years = range(config.first_construction[0], config.last_construction[0] + 1)
     rhos, constructions, bench_months, bench_vals = [], [], [], []
     for year in years:

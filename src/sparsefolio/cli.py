@@ -238,14 +238,6 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _infer_assets(text: str) -> int:
-    for line in text.splitlines():
-        toks = line.split()
-        if toks and len(toks[0]) == 6 and toks[0].isdigit():
-            return len(toks) - 1
-    raise InputError("could not infer the asset count; pass --assets")
-
-
 def _load_panel(path_arg: str, n_assets=None):
     """Read a canonical CSV panel or a raw-layout file.
 
@@ -255,7 +247,7 @@ def _load_panel(path_arg: str, n_assets=None):
     text = _read_text(path_arg)
     if text.lstrip().startswith("date,"):
         return panel_from_csv(text)
-    n = _ints(n_assets, "--assets") if n_assets is not None else _infer_assets(text)
+    n = _ints(n_assets, "--assets") if n_assets is not None else None
     return parse_ff_file(text, n)
 
 

@@ -53,25 +53,15 @@ def format_numbers(values, sep: str = ", ") -> str:
     return sep.join(["%.17g"] * len(values)) % tuple(values)
 
 
+# JSON string escapes: quote, backslash, \n, \t and \r by name, every other
+# control character below 0x20 as \u00XX
+_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)}
+_ESCAPES.update({ord("\""): "\\\"", ord("\\"): "\\\\",
+                 ord("\n"): "\\n", ord("\t"): "\\t", ord("\r"): "\\r"})
+
+
 def _escape(s: str) -> str:
-    out = ["\""]
-    for ch in s:
-        if ch == "\"":
-            out.append("\\\"")
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append("\"")
-    return "".join(out)
+    return "\"" + s.translate(_ESCAPES) + "\""
 
 
 def _emit(obj, indent: int, pieces: list) -> None:

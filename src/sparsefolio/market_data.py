@@ -1,4 +1,4 @@
-"""Monthly return panel ingestion and sample moments.
+"""Monthly return panels: ingestion, windows and the canonical CSV form.
 
 Reads the Fama-French monthly text layout (header preamble, rows of
 "YYYYMM v1 ... vN" in percent, sentinel -99.99 for missing values, trailing
@@ -25,10 +25,8 @@ from .errors import (
 
 __all__ = [
     "ReturnPanel",
-    "MomentEstimates",
     "parse_ff_file",
     "window",
-    "estimate_moments",
     "panel_to_csv",
     "panel_from_csv",
     "month_index",
@@ -121,29 +119,6 @@ class ReturnPanel:
         return self.returns.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class MomentEstimates:
-    """Sample mean and covariance of a panel window.
-
-    mean is the per-column average; covariance uses divisor T and is
-    symmetrized. window records the (first, last) month labels the moments
-    were computed from.
-    """
-
-    mean: np.ndarray
-    covariance: np.ndarray
-    window: tuple
-
-    def __post_init__(self):
-        c = np.asarray(self.covariance, dtype=float)
-        scale = float(np.max(np.abs(c), initial=0.0))
-        if np.max(np.abs(c - c.T), initial=0.0) > 1e-10 * max(1.0, scale):
-            raise InputError("covariance is not symmetric")
-        eig = np.linalg.eigvalsh((c + c.T) / 2.0)
-        if eig.size and eig[0] < -1e-10 * max(1.0, scale):
-            raise InputError("covariance is not positive semidefinite")
-
-
 def _is_yyyymm(tok: str) -> bool:
     return len(tok) == 6 and tok.isdigit() and 1 <= int(tok[4:6]) <= 12
 
@@ -161,22 +136,25 @@ def _header_names(header_line, n: int) -> tuple:
     return tuple(f"A{k + 1:0{width}d}" for k in range(n))
 
 
-def parse_ff_file(raw, expected_assets: int) -> ReturnPanel:
+def parse_ff_file(raw, expected_assets: int | None = None) -> ReturnPanel:
     """Parse the first monthly block of a Fama-French layout file.
 
     raw may be a text string or a file-like object. Values are percent
     monthly returns; the output panel holds decimal annualized returns
     (value * 12 / 100). A month containing the -99.99 sentinel in any
-    column is dropped entirely, with a logged warning.
+    column is dropped entirely, with a logged warning. Every data row must
+    hold expected_assets values; None takes the count from the first data
+    row.
 
     Raises:
         MalformedRow: non-numeric token inside a data row.
         WrongColumnCount: data row with the wrong number of values.
         EmptyFile: no monthly data rows found.
     """
-    expected_assets = int(expected_assets)
-    if expected_assets < 1:
-        raise InputError("expected_assets must be positive")
+    if expected_assets is not None:
+        expected_assets = int(expected_assets)
+        if expected_assets < 1:
+            raise InputError("expected_assets must be positive")
     text = raw.read() if hasattr(raw, "read") else str(raw)
 
     rows, dates = [], []
@@ -198,6 +176,8 @@ def parse_ff_file(raw, expected_assets: int) -> ReturnPanel:
             break  # first monthly block ends at a blank line or a new banner
         date = (int(toks[0][:4]), int(toks[0][4:6]))
         values = toks[1:]
+        if expected_assets is None:
+            expected_assets = len(values)
         if len(values) != expected_assets:
             raise WrongColumnCount(
                 f"row {toks[0]}: {len(values)} values, expected {expected_assets}"
@@ -250,18 +230,6 @@ def window(panel: ReturnPanel, start: tuple, length_months: int) -> ReturnPanel:
         returns=panel.returns[lo:hi],
         dates=span,
         asset_names=panel.asset_names,
-    )
-
-
-def estimate_moments(panel: ReturnPanel) -> MomentEstimates:
-    """Column means and sample covariance (divisor T) of the panel."""
-    r = panel.returns
-    mean = r.mean(axis=0)
-    centered = r - mean
-    cov = centered.T @ centered / r.shape[0]
-    cov = (cov + cov.T) / 2.0
-    return MomentEstimates(
-        mean=mean, covariance=cov, window=(panel.dates[0], panel.dates[-1])
     )
 
 

@@ -113,7 +113,7 @@ class AffineConstraints:
         m, n = A.shape
         if m == 0:
             return
-        w_ls, _, _, _ = np.linalg.lstsq(A, a, rcond=None)
+        w_ls, _, _, sv = np.linalg.lstsq(A, a, rcond=None)
         resid = float(np.max(np.abs(A @ w_ls - a), initial=0.0))
         if resid > 1e-10 * max(1.0, float(np.max(np.abs(a), initial=0.0))):
             raise InfeasibleConstraints(
@@ -121,7 +121,6 @@ class AffineConstraints:
             )
         if m > n:
             raise InputError("more constraint rows than variables cannot be independent")
-        sv = np.linalg.svd(A, compute_uv=False)
         if sv[0] == 0.0 or sv[-1] * _COND_LIMIT < sv[0]:
             raise InputError("constraint rows are linearly dependent or nearly so")
 
@@ -476,7 +475,7 @@ def _initial_state(G, Rh, y, Ah, a, counts):
     certified as the path top by `_certify_knee`, whose multiplier line
     keeps it stationary above the knee tau_0.
     """
-    if Ah.shape[0] == 0 or float(np.max(np.abs(Ah.T @ a), initial=0.0)) <= 1e-300:
+    if float(np.max(np.abs(Ah.T @ a), initial=0.0)) <= 1e-300:
         route, w = "empty", np.zeros(Rh.shape[1])
     else:
         route, w = "face", _face_lsq(G, Rh, y, Ah, a, *_l1_face(Ah, a), counts)
@@ -546,11 +545,8 @@ def _validated_real(G, J, sign, entered, ztol, counts):
     border = np.arange(len(sign), G.shape[0])  # the constraint rows of G
     while True:
         sig = sign[J]
-        if len(border):
-            rows = np.concatenate((J, border))
-            rhs = np.concatenate((sig, np.zeros(len(border))))
-        else:
-            rows, rhs = J, sig
+        rows = np.concatenate((J, border))
+        rhs = np.concatenate((sig, np.zeros(len(border))))
         uJ, svec, fallback = _bordered_direction(
             G.take(rows, axis=0).take(rows, axis=1), rhs, len(J))
         counts["solves"] += 1
@@ -645,7 +641,7 @@ def solve_constrained_path(problem, constraints, max_active=None):
     counts = Counter()
     (Rh, y, Ah, s, RtR, G), route, w, lam, bp, J, sign, uJ, svec, b, ztol = (
         _path_start(problem, constraints, counts))
-    m, N = Ah.shape
+    N = Ah.shape[1]
     tau_stop = problem.tau_stop
     bps = [bp]
     budget = 60 * N + 120
@@ -659,9 +655,7 @@ def solve_constrained_path(problem, constraints, max_active=None):
             break
         u = np.zeros(N)
         u[J] = uJ
-        v = RtR @ u
-        if m:
-            v -= Ah.T @ svec
+        v = RtR @ u - Ah.T @ svec
         hit = _next_event(tau, tau_stop, b, v, w, J, uJ, sign, ztol)
         gamma = (tau - tau_stop) / 2.0 if hit is None else hit[0]
         w = w + gamma * u

@@ -68,8 +68,6 @@ def test_config_validation():
                        last_construction=(1999, 6))
     with pytest.raises(InputError):
         BacktestConfig(training_months=1)
-    with pytest.raises(InputError):
-        BacktestConfig(evaluation_periods=(((2000, 5), (2000, 1)),))
 
 
 def test_default_evaluation_periods_layout():
@@ -191,15 +189,15 @@ def test_exercise_deterministic():
 
 
 def test_exercise_breakout_consistency():
-    panel = exercise_panel(seed=5)
-    periods = (((1978, 7), (1980, 6)),
-               ((1978, 7), (1979, 6)),
-               ((1979, 7), (1980, 6)))
+    # ten holding years: the full span and two 60-month chunks
+    panel = exercise_panel(seed=5, months=144)
     config = BacktestConfig(first_construction=(1978, 6),
-                            last_construction=(1979, 6),
-                            training_months=24,
-                            evaluation_periods=periods)
+                            last_construction=(1987, 6),
+                            training_months=24)
     report = run_exercise(panel, config)
+    assert report.evaluation_periods == (((1978, 7), (1988, 6)),
+                                         ((1978, 7), (1983, 6)),
+                                         ((1983, 7), (1988, 6)))
     full, first, second = report.stats
     lumped = (first.mean_monthly * first.n_months
               + second.mean_monthly * second.n_months)

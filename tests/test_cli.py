@@ -51,10 +51,10 @@ def synthetic_panel_csv(tmp_path, n=4, seed=0, months=48):
     return str(dest), panel
 
 
-def raw_layout_file(tmp_path):
+def raw_layout_file(tmp_path, banner="Banner line"):
     """A raw monthly-percent file of 4 assets over 48 months from 1976-07."""
     rng = np.random.default_rng(5)
-    lines = ["Banner line", "      A0 A1 A2 A3"]
+    lines = [banner, "      A0 A1 A2 A3"]
     for k in range(48):
         y, m = add_months((1976, 7), k)
         cells = " ".join(f"{v:.2f}" for v in 5.0 * rng.standard_normal(4) + 1.0)
@@ -329,6 +329,19 @@ def test_backtest_raw_layout_asset_count(tmp_path):
                    "--assets", "5")
     assert proc.returncode == 2
     assert "WrongColumnCount" in proc.stderr
+
+
+def test_backtest_raw_preamble_with_a_six_digit_token(tmp_path):
+    # 000000 is no month: the data rows, not this preamble line, set the count
+    reports = []
+    for banner in ("Banner line", "000000 rows below are monthly percent"):
+        out = tmp_path / f"out{len(banner)}"
+        proc = run_cli("backtest", "--data", raw_layout_file(tmp_path, banner),
+                       "--out", str(out), "--start", "1978-06", "--end", "1979-06",
+                       "--training-months", "24")
+        assert proc.returncode == 0, proc.stderr
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 BAD_CONFIG_INTS = {

@@ -1,8 +1,11 @@
-"""The package imports numpy and the standard library only."""
+"""The package imports numpy and the standard library only, and exports
+what it lists."""
 
 import subprocess
 import sys
 from pathlib import Path
+
+import sparsefolio
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -18,3 +21,10 @@ def test_import_loads_no_optional_numeric_stack():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, cwd=SRC)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_listed_export_resolves_once():
+    names = sparsefolio.__all__
+    assert len(set(names)) == len(names)
+    missing = [n for n in names if not hasattr(sparsefolio, n)]
+    assert missing == []

@@ -1,5 +1,7 @@
 """Deterministic JSON: the one-pass numeric path against item-by-item output."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,13 @@ def test_non_finite_raises(bad, where):
 ])
 def test_edge_cases_keep_their_bytes(obj, text):
     assert jsonio.dumps(obj) == text
+
+
+def test_string_escapes():
+    # stdlib json writes \b and \f by name; the output files keep \u00XX
+    assert jsonio.dumps({"\b": "\f"}) == '{\n  "\\u0008": "\\u000c"\n}\n'
+    text = "".join(chr(c) for c in range(0x300) if chr(c) not in "\b\f")
+    assert jsonio.dumps([text]) == f"[{json.dumps(text, ensure_ascii=False)}]\n"
 
 
 @pytest.mark.parametrize("obj", [{1: 2.0}, {"a": object()}, [1.0, object()]])

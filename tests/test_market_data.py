@@ -1,4 +1,4 @@
-"""Panel parsing, windowing, moment estimation, canonical CSV."""
+"""Panel parsing, windowing, canonical CSV."""
 
 import io
 import logging
@@ -14,7 +14,6 @@ from sparsefolio import (
     WindowOutOfRange,
     WrongColumnCount,
     add_months,
-    estimate_moments,
     month_index,
     panel_from_csv,
     panel_to_csv,
@@ -158,6 +157,9 @@ def test_parse_wrong_column_count():
     with pytest.raises(WrongColumnCount):
         parse_ff_file("200001 1.0 2.0 3.0\n200002 1.0 2.0 3.0\n",
                       expected_assets=2)
+    # with no expected count, the first data row sets it
+    with pytest.raises(WrongColumnCount, match="3 values, expected 2"):
+        parse_ff_file("200001 1.0 2.0\n200002 1.0 2.0 3.0\n")
 
 
 def test_parse_malformed_row():
@@ -213,51 +215,6 @@ def test_window_length_guard():
     panel = make_panel()
     with pytest.raises(InputError):
         window(panel, panel.dates[0], 1)
-
-
-# --- estimate_moments ---
-
-def test_moments_constant_panel():
-    row = np.array([0.05, -0.02, 0.11])
-    panel = ReturnPanel(returns=np.tile(row, (6, 1)),
-                        dates=month_grid((2001, 1), 6),
-                        asset_names=("x", "y", "z"))
-    m = estimate_moments(panel)
-    np.testing.assert_allclose(m.mean, row, rtol=0, atol=1e-16)
-    # mean of six identical doubles is not bitwise exact; the covariance of
-    # a constant panel is zero only up to that rounding, squared
-    np.testing.assert_allclose(m.covariance, np.zeros((3, 3)), atol=1e-30)
-    assert m.window == ((2001, 1), (2001, 6))
-
-
-def test_moments_two_by_two_example():
-    panel = ReturnPanel(returns=np.array([[0.1, 0.2], [0.3, 0.0]]),
-                        dates=month_grid((2001, 1), 2),
-                        asset_names=("x", "y"))
-    m = estimate_moments(panel)
-    np.testing.assert_allclose(m.mean, [0.2, 0.1], atol=1e-16)
-
-
-def test_moments_match_two_pass_oracle():
-    panel = make_panel(t=60, n=5, seed=9)
-    m = estimate_moments(panel)
-    r = panel.returns
-    mean = np.array([r[:, j].sum() / r.shape[0] for j in range(5)])
-    cov = np.zeros((5, 5))
-    for j in range(5):
-        for k in range(5):
-            cov[j, k] = np.sum((r[:, j] - mean[j]) * (r[:, k] - mean[k])) / r.shape[0]
-    np.testing.assert_allclose(m.mean, mean, atol=1e-12)
-    np.testing.assert_allclose(m.covariance, cov, atol=1e-12)
-    np.testing.assert_array_equal(m.covariance, m.covariance.T)
-
-
-def test_moments_divisor_is_t():
-    panel = ReturnPanel(returns=np.array([[0.0], [2.0]]),
-                        dates=month_grid((2001, 1), 2), asset_names=("x",))
-    m = estimate_moments(panel)
-    # divisor T = 2: var = ((0-1)^2 + (2-1)^2)/2 = 1, not 2
-    assert m.covariance[0, 0] == 1.0
 
 
 # --- canonical CSV ---
