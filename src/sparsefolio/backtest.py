@@ -25,6 +25,8 @@ from .portfolio import (
     MarkowitzSpec,
     Policy,
     PortfolioSelection,
+    _exact_k,
+    _support_sizes,
     build_markowitz_problem,
     select_binned,
     select_exact_k,
@@ -283,15 +285,20 @@ def run_exercise(panel: ReturnPanel, config: BacktestConfig) -> BacktestReport:
 def k_sweep(report: BacktestReport, k_min: int, k_max: int):
     """Full-period Sharpe of the exact-k strategy for each k in the range.
 
-    Reuses the exercise's paths. Returns a list of (k, PerformanceStats or
-    None); a k unattained in some year, a failed construction year, or
-    degenerate pooled statistics yield None rather than a partial pool.
+    Reuses the exercise's paths and counts each path's nonzero weights
+    once for every k; each year selects as select_exact_k does. Returns a
+    list of (k, PerformanceStats or None); a k unattained in some year, a
+    failed construction year, or degenerate pooled statistics yield None
+    rather than a partial pool.
     """
     full = report.evaluation_periods[0]
+    sizes = {id(built[1]): _support_sizes(built[1])
+             for built in report.constructions if not isinstance(built, Exception)}
     out = []
     for k in range(int(k_min), int(k_max) + 1):
-        _, failures, series = _pool(report.years, report.constructions,
-                                    partial(select_exact_k, k=k))
+        _, failures, series = _pool(
+            report.years, report.constructions,
+            lambda path, problem, k=k: _exact_k(path, problem, k, sizes[id(path)]))
         out.append((k, None if failures else _stats_or_none(series, full)))
     return out
 

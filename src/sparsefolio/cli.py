@@ -241,14 +241,13 @@ def cmd_solve(args) -> int:
 def _load_panel(path_arg: str, n_assets=None):
     """Read a canonical CSV panel or a raw-layout file.
 
-    A raw file must have n_assets value columns; None infers the count from
-    the first data row.
+    Either must have n_assets value columns; None takes the count from the
+    file (the CSV header, or a raw file's first data row).
     """
     text = _read_text(path_arg)
-    if text.lstrip().startswith("date,"):
-        return panel_from_csv(text)
     n = _ints(n_assets, "--assets") if n_assets is not None else None
-    return parse_ff_file(text, n)
+    parse = panel_from_csv if text.lstrip().startswith("date,") else parse_ff_file
+    return parse(text, n)
 
 
 def cmd_backtest(args) -> int:

@@ -243,8 +243,15 @@ def panel_to_csv(panel: ReturnPanel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def panel_from_csv(raw) -> ReturnPanel:
-    """Parse the canonical CSV form back into a panel (round-trip inverse)."""
+def panel_from_csv(raw, expected_assets: int | None = None) -> ReturnPanel:
+    """Parse the canonical CSV form back into a panel (round-trip inverse).
+
+    The header and every row must hold expected_assets values; None takes
+    the count from the header.
+
+    Raises:
+        WrongColumnCount: header or row with the wrong number of values.
+    """
     text = raw.read() if hasattr(raw, "read") else str(raw)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -253,6 +260,10 @@ def panel_from_csv(raw) -> ReturnPanel:
     if len(header) < 2 or header[0] != "date":
         raise InputError("canonical CSV must start with a 'date,<names>' header")
     names = tuple(header[1:])
+    if expected_assets is not None and len(names) != int(expected_assets):
+        raise WrongColumnCount(
+            f"header: {len(names)} asset names, expected {int(expected_assets)}"
+        )
     dates, rows = [], []
     for ln in lines[1:]:
         cells = ln.split(",")

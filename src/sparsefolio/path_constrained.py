@@ -20,16 +20,23 @@ tau at once. The path is computed in two stages:
   2. Ordinary continuation in real arithmetic on the Lagrangian optimality
      system from tau_0 down to tau_stop, moving weights and multipliers
      jointly and recording a breakpoint at every support change. Segments
-     where only the multipliers move are recorded like any other. Each step
-     gathers the direction system on the working set from one bordered
-     matrix over every index, solves it by LU (min-norm least squares when
-     that fails), and runs one ratio test over the stacked enter-up,
-     enter-down and leave candidates: one division and one minimum. Ties
-     list entering indices by index, +1 before -1, then leaving indices in
-     working-set order. The working set is an index array in a fixed order,
-     survivors first in their order and then the entering indices; that
-     order fixes the layout of every direction system, and so every output
-     bit.
+     where only the multipliers move are recorded like any other. The
+     direction system on the working set is a block of one bordered matrix
+     G over every index. Each step carries the inverse of the last one to
+     the new working set in O(k^2) (a Schur downdate per leaving index, a
+     bordering per entering one), solves by one product with it, and checks
+     the solution by one product with G, whose first N rows are also the
+     velocity of the ratio test. The path start, a tiny pivot, an
+     ill-conditioned system or a failed check instead gathers the system
+     from G and solves it by LU (min-norm least squares when that fails),
+     with the velocity R^T R u - A^T s; an LU solution re-seeds the
+     inverse. One ratio test then runs over
+     the stacked enter-up, enter-down and leave candidates: one division
+     and one minimum. Ties list entering indices by index, +1 before -1,
+     then leaving indices in working-set order. The working set is an
+     index array in a fixed order, survivors first in their order and then
+     the entering indices; that order fixes the layout of every direction
+     system.
 
 This is the package's one continuation engine: with no constraint rows it
 traces the unconstrained path, which `solve_path` returns as it is. Every
@@ -74,6 +81,8 @@ log = logging.getLogger(__name__)
 _RESID_REL = 1e-9    # consistency gate for least-squares solves
 _COND_LIMIT = 1e12   # constraint rows closer to dependence than this are rejected
 _EPS = float(np.finfo(float).eps)
+_PIVOT_REL = 1e-8    # a Schur pivot this small against its row counts as zero
+_CARRY_COND = 1e8    # direction systems worse conditioned than this are solved by LU
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,9 +193,11 @@ def _bordered_direction(K: np.ndarray, rhs: np.ndarray, k: int,
                         gate: float = _LU_GATE):
     """Solution (x_J; s) of [G_JJ, -A_J^T; A_J, 0] (x_J; s) = rhs.
 
-    The system is given as K and rhs with k = |J| (with no constraint rows
-    it is G_JJ x_J = rhs itself): a continuation direction, rhs = (sigma; 0),
-    or a face optimum of the start. Its LU solution is kept when the
+    The system is given as K, gathered from the bordered matrix with the
+    rows J first, and rhs, with k = |J| (with no constraint rows it is
+    G_JJ x_J = rhs itself): a face optimum of the start, or a continuation
+    direction, rhs = (sigma; 0), at the steps where no carried inverse
+    serves (see `_validated_real`). Its LU solution is kept when the
     residual passes gate, by default a direction's plain consistency gate.
     Otherwise (a singular or ill-conditioned system) the
     min-norm least-squares solution is taken: a consistent but
@@ -493,7 +504,8 @@ def _path_start(problem, constraints, counts):
 
     Returns ``(Rh, y, Ah, s, RtR, G)``, the start route, the start weights
     and multipliers, and the START breakpoint, working set, member signs
-    (non-members carry 0), first direction, generalized residual and ztol.
+    (non-members carry 0), first direction ``(u_J, s, v, inverse)`` as
+    `_validated_real` returns it, generalized residual and ztol.
     """
     Rh, y, Ah, a, s = _prepare(problem, constraints)
     RtR = Rh.T @ Rh
@@ -512,9 +524,10 @@ def _path_start(problem, constraints, counts):
     sign = np.zeros(len(w))
     sign[J] = np.where(w[J] != 0.0, np.sign(w[J]), np.where(b[J] >= 0, 1.0, -1.0))
     if tau0 > problem.tau_stop + ztol:
-        uJ, svec, J = _validated_real(G, J, sign, on & (w == 0.0), ztol, counts)
+        uJ, svec, J, v, inverse = _validated_real(G, J, sign, on & (w == 0.0),
+                                                  ztol, counts, None)
     else:
-        uJ, svec = np.zeros(len(J)), np.zeros(Ah.shape[0])
+        uJ, svec, v, inverse = np.zeros(len(J)), np.zeros(Ah.shape[0]), None, None
     members = _sorted_tuple(J)
     bp = PathBreakpoint(
         tau=tau0,
@@ -524,14 +537,15 @@ def _path_start(problem, constraints, counts):
         event=Event("START", entered=members),
         multipliers=lam.copy(),
     )
-    return (Rh, y, Ah, s, RtR, G), route, w, lam, bp, J, sign, uJ, svec, b, ztol
+    return ((Rh, y, Ah, s, RtR, G), route, w, lam, bp, J, sign, (uJ, svec, v, inverse),
+            b, ztol)
 
 
 def _sorted_tuple(indices) -> tuple:
     return tuple(sorted(indices.tolist()))
 
 
-def _validated_real(G, J, sign, entered, ztol, counts):
+def _validated_real(G, J, sign, entered, ztol, counts, inverse):
     """Direction on the working set J after tie validation.
 
     G is `_bordered_matrix` of the problem, J an index array and entered a
@@ -539,26 +553,140 @@ def _validated_real(G, J, sign, entered, ztol, counts):
     just-entered indices whose velocity opposes their sign, the largest
     opposing velocity first, until the direction is consistent; a dropped
     index leaves J (the others keep their order), is cleared in entered and
-    gets sign 0. counts tallies direction solves and their least-squares
-    fallbacks.
+    gets sign 0.
+
+    inverse is None or ``(K, M)``, the state returned by the previous call:
+    M is the inverse of the last accepted direction system, on the working
+    set K, laid out as the constraint rows first and then K.
+    `_carry_inverse` moves M to J and each drop downdates it, in O(k^2)
+    each, so a solve is one product with M. Its solution (u_J; s) is kept
+    when the residual of the one product G @ z, z scattering (u_J; s) over
+    every index, passes the plain gate. Other steps keep the gathered
+    route: no inverse to carry, a tiny pivot, an ill-conditioned system
+    (`_carriable`) or a failed gate. They gather the system from G and
+    solve it by `_bordered_direction`, and a solution that passes its gate
+    without the least-squares fallback re-seeds M. counts tallies direction
+    solves, least-squares fallbacks, solves by the carried inverse
+    ("updates") and re-seeds.
+
+    Returns ``(u_J, s, J, v, inverse)``: v is the first N rows of G @ z, the
+    velocity of the residual b along the direction, or None after a
+    gathered solve; inverse is the state for the next call.
     """
-    border = np.arange(len(sign), G.shape[0])  # the constraint rows of G
+    n = len(sign)
+    m = G.shape[0] - n
+    border = np.arange(n, n + m)  # the constraint rows of G
+    # no entry of a direction system exceeds this: R^T R's largest entry is
+    # on its diagonal
+    scale = max(float(np.diagonal(G)[:n].max()), float(np.abs(G[n:]).max(initial=0.0)))
+    M = None if inverse is None else _carry_inverse(G, *inverse, J)
     while True:
+        M = _carriable(M, scale)
         sig = sign[J]
-        rows = np.concatenate((J, border))
-        rhs = np.concatenate((sig, np.zeros(len(border))))
-        uJ, svec, fallback = _bordered_direction(
-            G.take(rows, axis=0).take(rows, axis=1), rhs, len(J))
+        v = None
+        if M is not None:
+            x = M[:, m:] @ sig
+            z = np.zeros(n + m)
+            z[J] = x[m:]
+            z[n:] = x[:m]
+            Gz = G @ z
+            resid = max(float(np.abs(Gz[J] - sig).max(initial=0.0)),
+                        float(np.abs(Gz[n:]).max(initial=0.0)))
+            if resid <= _LU_GATE:
+                counts["updates"] += 1
+                uJ, svec, v = z[J], z[n:], Gz[:n]
+        if v is None:
+            rows = np.concatenate((J, border))
+            K = G.take(rows, axis=0).take(rows, axis=1)
+            uJ, svec, fallback = _bordered_direction(
+                K, np.concatenate((sig, np.zeros(m))), len(J))
+            counts["fallbacks"] += fallback
+            M = None
+            if not fallback:
+                # the same inverse in the layout (constraint rows, J)
+                order = np.concatenate((np.arange(len(J), len(rows)), np.arange(len(J))))
+                M = _carriable(np.linalg.inv(K).take(order, axis=0).take(order, axis=1),
+                               scale)
+                counts["reseeds"] += M is not None
         counts["solves"] += 1
-        counts["fallbacks"] += fallback
         bad = entered[J] & (sig * uJ < -ztol)
         if not np.count_nonzero(bad):
-            return uJ, svec, J
+            return uJ, svec, J, v, None if M is None else (J, M)
         drop = int(np.argmax(np.where(bad, np.abs(uJ), -np.inf)))
         j = J[drop]
         J = np.delete(J, drop)
         entered[j] = False
         sign[j] = 0.0
+        if M is not None:
+            M = _drop_index(M, m + drop)
+
+
+def _carriable(M, scale):
+    """M, or None when its system is too ill-conditioned to carry: an
+    update's error grows with the condition number, which scale * max|M|
+    estimates (scale bounding the system's entries)."""
+    if M is None or scale * max(float(M.max(initial=0.0)),
+                                -float(M.min(initial=0.0))) > _CARRY_COND:
+        return None
+    return M
+
+
+def _drop_index(M, p):
+    """M with row and column p of its system removed, by one Schur downdate
+    in O(k^2); None when the pivot M[p, p] is zero or tiny against its row."""
+    pivot = M[p, p]
+    if abs(pivot) <= _PIVOT_REL * float(np.abs(M[p]).max()):
+        return None
+    rest = np.delete(np.arange(len(M)), p)
+    out = np.multiply(M[rest, p, None], M[p, rest] / -pivot)
+    out += M.take(rest, axis=0).take(rest, axis=1)
+    return out
+
+
+def _add_index(G, M, rows, e):
+    """M with index e's row and column of G bordered on, in O(k^2); rows are
+    G's rows of M's system in its layout. None when the Schur pivot
+    d - r M c is zero or tiny against the terms it is computed from."""
+    c = G[rows, e]
+    r = G[e, rows]
+    d = G[e, e]
+    q = M @ c
+    p = r @ M
+    pivot = d - r @ q
+    if abs(pivot) <= _PIVOT_REL * max(abs(d), float(np.abs(r) @ np.abs(q))):
+        return None
+    k = len(M)
+    q /= pivot
+    out = np.empty((k + 1, k + 1))
+    # written in place: a temporary of M's size costs as much as the update
+    np.multiply(q[:, None], p, out=out[:k, :k])
+    out[:k, :k] += M
+    out[:k, k] = -q
+    out[k, :k] = -p / pivot
+    out[k, k] = 1.0 / pivot
+    return out
+
+
+def _carry_inverse(G, K, M, J):
+    """The inverse M of the direction system on the working set K, carried
+    to J: a Schur downdate for each index of K not in J, then one bordering
+    per entering index. J must list K's survivors in their order, then the
+    entering indices. None when a pivot is tiny."""
+    m = len(M) - len(K)
+    member = np.zeros(G.shape[0] - m, dtype=bool)
+    member[J] = True
+    kept = member[K]
+    for p in np.flatnonzero(~kept)[::-1]:
+        M = _drop_index(M, m + p)
+        if M is None:
+            return None
+    rows = np.concatenate((np.arange(G.shape[0] - m, G.shape[0]), K[kept]))
+    for e in J[np.count_nonzero(kept):]:
+        M = _add_index(G, M, rows, e)
+        if M is None:
+            return None
+        rows = np.append(rows, e)
+    return M
 
 
 def _next_event(tau, tau_stop, b, v, w, J, uJ, sign, ztol):
@@ -639,7 +767,7 @@ def solve_constrained_path(problem, constraints, max_active=None):
             non-member beyond the boundary, or the breakpoint budget ran out.
     """
     counts = Counter()
-    (Rh, y, Ah, s, RtR, G), route, w, lam, bp, J, sign, uJ, svec, b, ztol = (
+    (Rh, y, Ah, s, RtR, G), route, w, lam, bp, J, sign, (uJ, svec, v, inverse), b, ztol = (
         _path_start(problem, constraints, counts))
     N = Ah.shape[1]
     tau_stop = problem.tau_stop
@@ -655,7 +783,11 @@ def solve_constrained_path(problem, constraints, max_active=None):
             break
         u = np.zeros(N)
         u[J] = uJ
-        v = RtR @ u - Ah.T @ svec
+        if v is None:
+            # a gathered solve: the velocity in the reference step's form
+            # (tests/oracles.py), so that the singular and ill-conditioned
+            # systems that take that route round alike
+            v = RtR @ u - Ah.T @ svec
         hit = _next_event(tau, tau_stop, b, v, w, J, uJ, sign, ztol)
         gamma = (tau - tau_stop) / 2.0 if hit is None else hit[0]
         w = w + gamma * u
@@ -675,7 +807,8 @@ def solve_constrained_path(problem, constraints, max_active=None):
         b = Rh.T @ (y - Rh @ w) + Ah.T @ lam
         if hit is not None:
             entered[enter] = True
-            uJ, svec, J = _validated_real(G, J, sign, entered, ztol, counts)
+            uJ, svec, J, v, inverse = _validated_real(G, J, sign, entered, ztol,
+                                                      counts, inverse)
             kept = enter[entered[enter]]
             entered[enter] = False
             event = Event("ENTER" if len(kept) else "LEAVE", entered=tuple(kept.tolist()),
@@ -685,10 +818,11 @@ def solve_constrained_path(problem, constraints, max_active=None):
             tau=tau, weights=w / s, generalized_residual=b,
             active_set=_sorted_tuple(J), event=event, multipliers=lam.copy()))
     log.debug("start: %s route, %d face solves, %d face least-squares fallbacks; "
-              "continuation: %d breakpoints, %d direction solves, "
-              "%d least-squares fallbacks",
+              "continuation: %d breakpoints, %d direction solves "
+              "(%d inverse updates, %d re-seeds), %d least-squares fallbacks",
               route, counts["face_solves"], counts["face_fallbacks"],
-              len(bps), counts["solves"], counts["fallbacks"])
+              len(bps), counts["solves"], counts["updates"], counts["reseeds"],
+              counts["fallbacks"])
     fp = problem.fingerprint(extra=constraints.fingerprint_bytes())
     return SolutionPath(breakpoints=tuple(bps), problem_fingerprint=fp)
 

@@ -296,14 +296,24 @@ def select_exact_k(path: SolutionPath, problem: PenalizedProblem,
     Raises:
         CardinalityUnreachable: no breakpoint has exactly k nonzero weights.
     """
-    k = int(k)
-    for bp in path.breakpoints:
-        if int(np.count_nonzero(bp.weights)) == k:
-            return _selection(problem, np.asarray(bp.weights, dtype=float),
-                              bp.tau, Policy.exact_k(k))
-    raise CardinalityUnreachable(
-        f"no breakpoint on the path holds exactly {k} assets"
-    )
+    return _exact_k(path, problem, int(k), _support_sizes(path))
+
+
+def _support_sizes(path: SolutionPath) -> np.ndarray:
+    """Nonzero weight count of each breakpoint, in path order."""
+    return np.count_nonzero([bp.weights for bp in path.breakpoints], axis=1)
+
+
+def _exact_k(path, problem, k, sizes):
+    """select_exact_k given the path's _support_sizes."""
+    hits = np.flatnonzero(sizes == k)
+    if not hits.size:
+        raise CardinalityUnreachable(
+            f"no breakpoint on the path holds exactly {k} assets"
+        )
+    bp = path.breakpoints[hits[0]]
+    return _selection(problem, np.asarray(bp.weights, dtype=float),
+                      bp.tau, Policy.exact_k(k))
 
 
 def select_binned(path: SolutionPath, problem: PenalizedProblem,

@@ -331,6 +331,17 @@ def test_backtest_raw_layout_asset_count(tmp_path):
     assert "WrongColumnCount" in proc.stderr
 
 
+def test_backtest_csv_asset_count(tmp_path):
+    # --assets is checked against a canonical CSV panel as against a raw file
+    data, _ = synthetic_panel_csv(tmp_path)
+    for assets, code in (("4", 0), ("5", 2)):
+        proc = run_cli("backtest", "--data", data, "--out", str(tmp_path / assets),
+                       "--start", "1978-06", "--end", "1979-06",
+                       "--training-months", "24", "--assets", assets)
+        assert proc.returncode == code, proc.stderr
+    assert "WrongColumnCount" in proc.stderr
+
+
 def test_backtest_raw_preamble_with_a_six_digit_token(tmp_path):
     # 000000 is no month: the data rows, not this preamble line, set the count
     reports = []

@@ -483,9 +483,12 @@ def test_engine_logs_one_debug_record_per_path(caplog):
                 if r.name == "sparsefolio.path_constrained"]
     assert messages == [
         "start: empty route, 0 face solves, 0 face least-squares fallbacks; "
-        "continuation: 3 breakpoints, 2 direction solves, 0 least-squares fallbacks",
+        "continuation: 3 breakpoints, 2 direction solves "
+        "(1 inverse updates, 1 re-seeds), 0 least-squares fallbacks",
         "start: empty route, 0 face solves, 0 face least-squares fallbacks; "
-        "continuation: 4 breakpoints, 3 direction solves, 2 least-squares fallbacks",
+        "continuation: 4 breakpoints, 3 direction solves "
+        "(0 inverse updates, 1 re-seeds), 2 least-squares fallbacks",
         "start: face route, 3 face solves, 0 face least-squares fallbacks; "
-        "continuation: 2 breakpoints, 1 direction solves, 0 least-squares fallbacks",
+        "continuation: 2 breakpoints, 1 direction solves "
+        "(0 inverse updates, 1 re-seeds), 0 least-squares fallbacks",
     ]

@@ -1,16 +1,24 @@
-"""The continuation step against its reference form, bit for bit.
+"""The continuation step against its reference form.
 
 Every ratio test and direction validation made along a real path is
 recorded, then replayed through the engine's step and through
-`oracles.reference_next_event` / `oracles.reference_validated_real`. Both
-must return the same bits: the step, the entering indices and their signs,
-the leaving indices, the directions, and the surviving working set in its
-order. The working set's order fixes the direction system's layout, so the
-whole path must then equal `oracles.reference_continuation`'s bit for bit.
+`oracles.reference_next_event` / `oracles.reference_validated_real`.
+
+The ratio test must return the reference's bits: the step, the entering
+indices and their signs, and the leaving indices. The validation may solve
+by the carried inverse rather than a fresh LU, so it must return the
+reference's working set in its order, signs, drops and solve count, and
+its direction within 1e-10 relative wherever the accepted direction system
+has cond <= 1e8, the rule of `test_face_sweep.py`. The whole path must
+then match `oracles.reference_continuation`: the same breakpoint count,
+active sets and events, with tau, weights, residuals and multipliers
+within 1e-10 relative wherever every direction system of the path has
+cond <= 1e8. Elsewhere each breakpoint must certify as well as the
+reference's, and a path the reference ends in an error must end in an
+error of the same type.
 """
 
 import copy
-import re
 from collections import Counter
 from unittest import mock
 
@@ -22,6 +30,7 @@ from hypothesis import strategies as st
 import sparsefolio.path_constrained as path_constrained
 from sparsefolio import (
     AffineConstraints,
+    PathBreakpoint,
     PenalizedProblem,
     SolverError,
     solve_constrained_path,
@@ -32,9 +41,17 @@ from oracles import (
     reference_validated_real,
 )
 
-from conftest import factor_panel, markowitz_instance, no_constraints, random_instance
+from conftest import (
+    certificate_violation,
+    factor_panel,
+    markowitz_instance,
+    no_constraints,
+    random_instance,
+)
 
 KINDS = ("random", "markowitz", "identity", "duplicate", "factor")
+RTOL = 1e-10
+COND_LIMIT = 1e8
 
 
 def identity_instance(seed):
@@ -117,6 +134,13 @@ def bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
+def assert_close(x, ref):
+    """x within RTOL of ref, relative to ref's largest magnitude."""
+    x, ref = np.asarray(x, dtype=float), np.asarray(ref, dtype=float)
+    scale = float(np.abs(ref).max(initial=0.0))
+    assert float(np.abs(x - ref).max(initial=0.0)) <= RTOL * scale
+
+
 def assert_same_event(args):
     tau, tau_stop, b, v, w, J, uJ, sign, ztol = args
     lean = path_constrained._next_event(tau, tau_stop, b, v, w, J.copy(), uJ,
@@ -133,44 +157,66 @@ def assert_same_event(args):
 
 
 def assert_same_validation(args):
-    G, J, sign, entered, ztol, _ = args
+    G, J, sign, entered, ztol, _, inverse = args
     n = len(sign)
     lean_sign, lean_entered, lean_counts = sign.copy(), entered.copy(), Counter()
-    uJ, svec, lean_J = path_constrained._validated_real(
-        G, J.copy(), lean_sign, lean_entered, ztol, lean_counts)
+    uJ, svec, lean_J, _, _ = path_constrained._validated_real(
+        G, J.copy(), lean_sign, lean_entered, ztol, lean_counts, inverse)
     ref_sign, ref_counts = sign.copy(), Counter()
     ref_entered = set(np.flatnonzero(entered).tolist())
     ref_uJ, ref_svec, ref_J = reference_validated_real(
         G[:n, :n], G[n:, :n], J.tolist(), ref_sign, ref_entered, ztol, ref_counts)
     assert lean_J.tolist() == ref_J
-    assert bits(uJ) == bits(ref_uJ)
-    assert bits(svec) == bits(ref_svec)
     assert bits(lean_sign) == bits(ref_sign)
     assert np.flatnonzero(lean_entered).tolist() == sorted(ref_entered)
-    assert lean_counts == ref_counts
+    assert lean_counts["solves"] == ref_counts["solves"]
+    rows = np.concatenate((ref_J, np.arange(n, G.shape[0]))).astype(int)
+    if np.linalg.cond(G[np.ix_(rows, rows)]) <= COND_LIMIT:
+        assert_close(np.concatenate((uJ, svec)), np.concatenate((ref_uJ, ref_svec)))
+
+
+def path_cond(problem, constraints, ref):
+    """Largest condition number of the direction systems along a reference path."""
+    Rh, _, Ah, _, _ = path_constrained._prepare(problem, constraints)
+    G = path_constrained._bordered_matrix(Rh.T @ Rh, Ah)
+    border = np.arange(Rh.shape[1], G.shape[0])
+    worst = 1.0
+    for _, _, _, active, _, _ in ref:
+        rows = np.concatenate((np.asarray(active, dtype=int), border))
+        if len(rows):
+            worst = max(worst, float(np.linalg.cond(G[np.ix_(rows, rows)])))
+    return worst
 
 
 def assert_same_path(problem, constraints):
     try:
         ref = reference_continuation(problem, constraints)
     except SolverError as exc:
-        with pytest.raises(type(exc), match=re.escape(str(exc))):
+        with pytest.raises(type(exc)):
             solve_constrained_path(problem, constraints)
         return
     path = solve_constrained_path(problem, constraints)
     assert len(path.breakpoints) == len(ref)
-    for bp, (tau, w, b, active, event, lam) in zip(path.breakpoints, ref):
-        assert bits(bp.tau) == bits(tau)
-        assert bits(bp.weights) == bits(w)
-        assert bits(bp.generalized_residual) == bits(b)
-        assert bits(bp.multipliers) == bits(lam)
+    for bp, (_, _, _, active, event, _) in zip(path.breakpoints, ref):
         assert bp.active_set == active
         assert bp.event == event
+    if path_cond(problem, constraints, ref) <= COND_LIMIT:
+        # each field relative to its largest magnitude along the path
+        for name, i in (("tau", 0), ("weights", 1), ("generalized_residual", 2),
+                        ("multipliers", 5)):
+            assert_close([getattr(bp, name) for bp in path.breakpoints],
+                         [r[i] for r in ref])
+        return
+    for bp, (tau, w, b, active, event, lam) in zip(path.breakpoints, ref):
+        ref_bp = PathBreakpoint(tau=tau, weights=w, generalized_residual=b,
+                                active_set=active, event=event, multipliers=lam)
+        assert (certificate_violation(problem, bp)
+                <= max(1e-9, certificate_violation(problem, ref_bp)))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 10_000))
-def test_lean_step_matches_reference_bit_for_bit(kind, seed):
+def test_step_matches_reference(kind, seed):
     problem, constraints = instance(kind, seed)
     for name, args in recorded_steps(problem, constraints):
         if name == "event":
@@ -183,20 +229,25 @@ def test_lean_step_matches_reference_bit_for_bit(kind, seed):
 def test_reference_replay_meets_ties_drops_and_fallbacks():
     # the pool above reaches the step's rare branches: several indices
     # entering at one breakpoint, a member leaving, a just-entered index
-    # dropped by validation, and a least-squares fallback
-    multi = leaves = drops = fallbacks = 0
+    # dropped by validation, a least-squares fallback, and an inverse
+    # re-seeded after the path start (its first validation)
+    multi = leaves = drops = fallbacks = reseeds = 0
     for kind in KINDS:
         for seed in range(40):
-            for name, args in recorded_steps(*instance(kind, seed)):
+            steps = recorded_steps(*instance(kind, seed))
+            first = next((args for name, args in steps if name == "validate"), None)
+            for name, args in steps:
                 if name == "event":
                     hit = path_constrained._next_event(*copy.deepcopy(args))
                     multi += hit is not None and len(hit[1]) > 1
                     leaves += hit is not None and len(hit[3]) > 0
                 else:
-                    G, J, sign, entered, ztol, _ = copy.deepcopy(args)
+                    G, J, sign, entered, ztol, _, inverse = copy.deepcopy(args)
                     counts = Counter()
-                    _, _, kept = path_constrained._validated_real(
-                        G, J, sign, entered, ztol, counts)
+                    _, _, kept, _, _ = path_constrained._validated_real(
+                        G, J, sign, entered, ztol, counts, inverse)
                     drops += len(kept) < len(J)
                     fallbacks += counts["fallbacks"]
+                    reseeds += args is not first and counts["reseeds"] > 0
     assert multi and leaves and drops and fallbacks
+    assert reseeds
