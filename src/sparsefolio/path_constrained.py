@@ -555,19 +555,21 @@ def _validated_real(G, J, sign, entered, ztol, counts, inverse):
     index leaves J (the others keep their order), is cleared in entered and
     gets sign 0.
 
-    inverse is None or ``(K, M)``, the state returned by the previous call:
-    M is the inverse of the last accepted direction system, on the working
-    set K, laid out as the constraint rows first and then K.
-    `_carry_inverse` moves M to J and each drop downdates it, in O(k^2)
-    each, so a solve is one product with M. Its solution (u_J; s) is kept
-    when the residual of the one product G @ z, z scattering (u_J; s) over
-    every index, passes the plain gate. Other steps keep the gathered
-    route: no inverse to carry, a tiny pivot, an ill-conditioned system
-    (`_carriable`) or a failed gate. They gather the system from G and
-    solve it by `_bordered_direction`, and a solution that passes its gate
-    without the least-squares fallback re-seeds M. counts tallies direction
-    solves, least-squares fallbacks, solves by the carried inverse
-    ("updates") and re-seeds.
+    inverse is None or ``(K, M, scale)``, the state returned by the
+    previous call: M is the inverse of the last accepted direction system,
+    on the working set K, laid out as the constraint rows first and then K,
+    and scale bounds the entries of every direction system. K's survivors
+    are its members still signed; J lists them first, in their order, then
+    the entering indices. `_carry_inverse` moves M to J and each drop
+    downdates it, in O(k^2) each, so a solve is one product with M. Its
+    solution (u_J; s) is kept when the residual of the one product G @ z, z
+    scattering (u_J; s) over every index, passes the plain gate. Other
+    steps keep the gathered route: no inverse to carry, a tiny pivot, an
+    ill-conditioned system (`_carriable`) or a failed gate. They gather the
+    system from G and solve it by `_bordered_direction`, and a solution
+    that passes its gate without the least-squares fallback re-seeds M.
+    counts tallies direction solves, least-squares fallbacks, solves by the
+    carried inverse ("updates") and re-seeds.
 
     Returns ``(u_J, s, J, v, inverse)``: v is the first N rows of G @ z, the
     velocity of the residual b along the direction, or None after a
@@ -576,23 +578,25 @@ def _validated_real(G, J, sign, entered, ztol, counts, inverse):
     n = len(sign)
     m = G.shape[0] - n
     border = np.arange(n, n + m)  # the constraint rows of G
-    # no entry of a direction system exceeds this: R^T R's largest entry is
-    # on its diagonal
-    scale = max(float(np.diagonal(G)[:n].max()), float(np.abs(G[n:]).max(initial=0.0)))
-    M = None if inverse is None else _carry_inverse(G, *inverse, J)
+    layout = np.concatenate((border, J))  # M's rows: constraint rows, then J
+    if inverse is None:
+        # R^T R's largest entry is on its diagonal
+        M, scale = None, max(float(np.diagonal(G)[:n].max()),
+                             float(np.abs(G[n:]).max(initial=0.0)))
+    else:
+        K, M, scale = inverse
+        M = _carry_inverse(G, M, K, sign[K] != 0.0, layout)
     while True:
         M = _carriable(M, scale)
         sig = sign[J]
         v = None
         if M is not None:
-            x = M[:, m:] @ sig
             z = np.zeros(n + m)
-            z[J] = x[m:]
-            z[n:] = x[:m]
+            z[layout] = M[:, m:] @ sig
             Gz = G @ z
-            resid = max(float(np.abs(Gz[J] - sig).max(initial=0.0)),
-                        float(np.abs(Gz[n:]).max(initial=0.0)))
-            if resid <= _LU_GATE:
+            res = Gz[layout]
+            res[m:] -= sig
+            if not res.size or np.abs(res).max() <= _LU_GATE:
                 counts["updates"] += 1
                 uJ, svec, v = z[J], z[n:], Gz[:n]
         if v is None:
@@ -611,10 +615,11 @@ def _validated_real(G, J, sign, entered, ztol, counts, inverse):
         counts["solves"] += 1
         bad = entered[J] & (sig * uJ < -ztol)
         if not np.count_nonzero(bad):
-            return uJ, svec, J, v, None if M is None else (J, M)
+            return uJ, svec, J, v, None if M is None else (J, M, scale)
         drop = int(np.argmax(np.where(bad, np.abs(uJ), -np.inf)))
         j = J[drop]
         J = np.delete(J, drop)
+        layout = np.delete(layout, m + drop)
         entered[j] = False
         sign[j] = 0.0
         if M is not None:
@@ -646,14 +651,15 @@ def _drop_index(M, p):
 def _add_index(G, M, rows, e):
     """M with index e's row and column of G bordered on, in O(k^2); rows are
     G's rows of M's system in its layout. None when the Schur pivot
-    d - r M c is zero or tiny against the terms it is computed from."""
-    c = G[rows, e]
-    r = G[e, rows]
-    d = G[e, e]
+    d - r M c is zero or tiny against the two terms it is computed from."""
+    c = G[:, e][rows]
+    r = G[e][rows]
+    d = float(G[e, e])
     q = M @ c
     p = r @ M
-    pivot = d - r @ q
-    if abs(pivot) <= _PIVOT_REL * max(abs(d), float(np.abs(r) @ np.abs(q))):
+    rq = float(r @ q)
+    pivot = d - rq
+    if abs(pivot) <= _PIVOT_REL * max(abs(d), abs(rq)):
         return None
     k = len(M)
     q /= pivot
@@ -662,30 +668,27 @@ def _add_index(G, M, rows, e):
     np.multiply(q[:, None], p, out=out[:k, :k])
     out[:k, :k] += M
     out[:k, k] = -q
-    out[k, :k] = -p / pivot
+    out[k, :k] = p / -pivot
     out[k, k] = 1.0 / pivot
     return out
 
 
-def _carry_inverse(G, K, M, J):
+def _carry_inverse(G, M, K, kept, rows):
     """The inverse M of the direction system on the working set K, carried
-    to J: a Schur downdate for each index of K not in J, then one bordering
-    per entering index. J must list K's survivors in their order, then the
-    entering indices. None when a pivot is tiny."""
-    m = len(M) - len(K)
-    member = np.zeros(G.shape[0] - m, dtype=bool)
-    member[J] = True
-    kept = member[K]
-    for p in np.flatnonzero(~kept)[::-1]:
-        M = _drop_index(M, m + p)
+    to the system whose rows of G are rows: a Schur downdate for each index
+    of K not kept, then one bordering per entering index. rows lists the
+    constraint rows, K[kept] in its order, then the entering indices. None
+    when a pivot is tiny."""
+    if not kept.all():
+        m = len(M) - len(K)
+        for p in np.flatnonzero(~kept)[::-1]:
+            M = _drop_index(M, m + p)
+            if M is None:
+                return None
+    for t in range(len(M), len(rows)):
+        M = _add_index(G, M, rows[:t], rows[t])
         if M is None:
             return None
-    rows = np.concatenate((np.arange(G.shape[0] - m, G.shape[0]), K[kept]))
-    for e in J[np.count_nonzero(kept):]:
-        M = _add_index(G, M, rows, e)
-        if M is None:
-            return None
-        rows = np.append(rows, e)
     return M
 
 
