@@ -555,12 +555,12 @@ def _validated_real(G, J, sign, entered, ztol, counts, inverse):
     index leaves J (the others keep their order), is cleared in entered and
     gets sign 0.
 
-    inverse is None or ``(K, M, scale)``, the state returned by the
+    inverse is None or ``(prev, M, scale)``, the state returned by the
     previous call: M is the inverse of the last accepted direction system,
-    on the working set K, laid out as the constraint rows first and then K,
-    and scale bounds the entries of every direction system. K's survivors
-    are its members still signed; J lists them first, in their order, then
-    the entering indices. `_carry_inverse` moves M to J and each drop
+    on the working set prev, laid out as the constraint rows first and then
+    prev, and scale bounds the entries of every direction system. prev's
+    survivors are its members still signed; J lists them first, in their
+    order, then the entering indices. `_carry_inverse` moves M to J and each drop
     downdates it, in O(k^2) each, so a solve is one product with M. Its
     solution (u_J; s) is kept when the residual of the one product G @ z, z
     scattering (u_J; s) over every index, passes the plain gate. Other
@@ -584,8 +584,8 @@ def _validated_real(G, J, sign, entered, ztol, counts, inverse):
         M, scale = None, max(float(np.diagonal(G)[:n].max()),
                              float(np.abs(G[n:]).max(initial=0.0)))
     else:
-        K, M, scale = inverse
-        M = _carry_inverse(G, M, K, sign[K] != 0.0, layout)
+        prev, M, scale = inverse
+        M = _carry_inverse(G, M, prev, sign[prev] != 0.0, layout)
     while True:
         M = _carriable(M, scale)
         sig = sign[J]
@@ -673,14 +673,14 @@ def _add_index(G, M, rows, e):
     return out
 
 
-def _carry_inverse(G, M, K, kept, rows):
-    """The inverse M of the direction system on the working set K, carried
-    to the system whose rows of G are rows: a Schur downdate for each index
-    of K not kept, then one bordering per entering index. rows lists the
-    constraint rows, K[kept] in its order, then the entering indices. None
-    when a pivot is tiny."""
+def _carry_inverse(G, M, prev, kept, rows):
+    """The inverse M of the direction system on the working set prev,
+    carried to the system whose rows of G are rows: a Schur downdate for
+    each index of prev not kept, then one bordering per entering index.
+    rows lists the constraint rows, prev[kept] in its order, then the
+    entering indices. None when a pivot is tiny."""
     if not kept.all():
-        m = len(M) - len(K)
+        m = len(M) - len(prev)
         for p in np.flatnonzero(~kept)[::-1]:
             M = _drop_index(M, m + p)
             if M is None:

@@ -82,13 +82,13 @@ def test_exact_zero_pivot_takes_the_gathered_route(monkeypatch):
         path = solve_constrained_path(problem, no_constraints(4))
     assert path.breakpoints[1].event.entered == (2, 3)
     (G, J, _, _, _, inverse), _, counts = calls[1]
-    K, M, _ = inverse
-    assert K.tolist() == [0] and J.tolist() == [0, 2, 3]
+    prev, M, _ = inverse
+    assert prev.tolist() == [0] and J.tolist() == [0, 2, 3]
     # the first copy borders on; the second's pivot is exactly zero
-    M2 = path_constrained._add_index(G, M, K, 2)
+    M2 = path_constrained._add_index(G, M, prev, 2)
     rows = np.array([0, 2])
     assert G[3, 3] - G[3, rows] @ M2 @ G[rows, 3] == 0.0
     assert path_constrained._add_index(G, M2, rows, 3) is None
-    assert path_constrained._carry_inverse(G, M, K, np.array([True]), J) is None
+    assert path_constrained._carry_inverse(G, M, prev, np.array([True]), J) is None
     # so the step gathers its (singular) system: no update, one fallback
     assert counts["updates"] == 0 and counts["fallbacks"] == 1
