@@ -16,11 +16,14 @@ tau at once. The path is computed in two stages:
      is the minimax tau_0 = 2 min_lam max_i |R^T y + A^T lam|_i (the LARS
      start 2 ||R^T y||_inf when there are no constraints); a point that is
      optimal down to tau = 0 gets the knee 0. Both programs are solved by
-     one revised simplex.
+     one revised simplex. The start's working set is every boundary index
+     and every index carrying weight.
   2. Ordinary continuation in real arithmetic on the Lagrangian optimality
      system from tau_0 down to tau_stop, moving weights and multipliers
      jointly and recording a breakpoint at every support change. Segments
-     where only the multipliers move are recorded like any other. The
+     where only the multipliers move are recorded like any other. Each
+     breakpoint, the START one included, validates the direction on its
+     working set and then steps to the next. The
      direction system on the working set is a block of one bordered matrix
      G over every index. Each step carries the inverse of the last one to
      the new working set in O(k^2) (a Schur downdate per leaving index, a
@@ -38,9 +41,12 @@ tau at once. The path is computed in two stages:
      the entering indices; that order fixes the layout of every direction
      system.
 
-This is the package's one continuation engine: with no constraint rows it
-traces the unconstrained path, which `solve_path` returns as it is. Every
-breakpoint is a `PathBreakpoint` whose multipliers have length m.
+This is the package's one continuation engine, and one generator,
+`_breakpoints`, runs it: it yields the START breakpoint and every later one
+from a single loop. `solve_constrained_path` collects them all,
+`find_constrained_start` takes the first, and with no constraint rows the
+same loop traces the unconstrained path, which `solve_path` returns as it
+is. Every breakpoint is a `PathBreakpoint` whose multipliers have length m.
 
 Penalty weights are handled by column rescaling; reported weights are in
 original coordinates while multipliers are invariant under the rescaling.
@@ -140,13 +146,6 @@ class AffineConstraints:
     @property
     def n_assets(self) -> int:
         return self.matrix.shape[1]
-
-    def fingerprint_bytes(self) -> bytes:
-        return (
-            repr(self.matrix.shape).encode()
-            + self.matrix.tobytes()
-            + self.rhs.tobytes()
-        )
 
 
 def _minnorm_solve(M: np.ndarray, rhs: np.ndarray):
@@ -497,50 +496,6 @@ def _initial_state(G, Rh, y, Ah, a, counts):
     return route, w, lam, tau0, tight
 
 
-def _path_start(problem, constraints, counts):
-    """The prefix of every path: `_prepare`, the bordered matrix G (built
-    once, for the face sweep and every direction solve), the start point
-    and the START breakpoint with its working set and first direction.
-
-    Returns ``(Rh, y, Ah, s, RtR, G)``, the start route, the start weights
-    and multipliers, and the START breakpoint, working set, member signs
-    (non-members carry 0), first direction ``(u_J, s, v, inverse)`` as
-    `_validated_real` returns it, generalized residual and ztol.
-    """
-    Rh, y, Ah, a, s = _prepare(problem, constraints)
-    RtR = Rh.T @ Rh
-    G = _bordered_matrix(RtR, Ah)
-    route, w, lam, tau0, tight = _initial_state(G, Rh, y, Ah, a, counts)
-    b = Rh.T @ (y - Rh @ w) + Ah.T @ lam
-    scale = max(1.0, float(np.max(np.abs(b), initial=0.0)), tau0)
-    ztol = ZERO_TIE_REL * scale
-    # members: every boundary index plus every index carrying weight; the
-    # knee certificate's tight indices count as boundary whatever rounding
-    # did to their residual. Only weightless members may be dropped by
-    # direction validation
-    on = (np.abs(b) >= tau0 / 2.0 - ztol) | (w != 0.0)
-    on[tight] = True
-    J = np.flatnonzero(on)
-    sign = np.zeros(len(w))
-    sign[J] = np.where(w[J] != 0.0, np.sign(w[J]), np.where(b[J] >= 0, 1.0, -1.0))
-    if tau0 > problem.tau_stop + ztol:
-        uJ, svec, J, v, inverse = _validated_real(G, J, sign, on & (w == 0.0),
-                                                  ztol, counts, None)
-    else:
-        uJ, svec, v, inverse = np.zeros(len(J)), np.zeros(Ah.shape[0]), None, None
-    members = _sorted_tuple(J)
-    bp = PathBreakpoint(
-        tau=tau0,
-        weights=w / s,
-        generalized_residual=b,
-        active_set=members,
-        event=Event("START", entered=members),
-        multipliers=lam.copy(),
-    )
-    return ((Rh, y, Ah, s, RtR, G), route, w, lam, bp, J, sign, (uJ, svec, v, inverse),
-            b, ztol)
-
-
 def _sorted_tuple(indices) -> tuple:
     return tuple(sorted(indices.tolist()))
 
@@ -734,57 +689,69 @@ def _check_off_support(b, sign, tau, ztol):
         )
 
 
-def find_constrained_start(problem, constraints):
-    """First breakpoint of the constrained path and its penalty level tau_0.
+def _breakpoints(problem, constraints, max_active=None):
+    """The path's breakpoints in order, START first: the one place the
+    engine builds a `PathBreakpoint`.
 
-    The returned weights minimize the constrained objective for every
-    tau >= tau_0 (the path is constant up there). With a nonzero
-    right-hand side they are the least-squares point of the l1-minimal face
-    of the constraints, and the multipliers are those of the certificate
-    that pins tau_0; with a zero right-hand side the weights are zero and
-    the multipliers minimize max_i |R^T y + A^T lam|_i.
-
-    Args:
-        problem: data term and penalty weights.
-        constraints: feasible affine constraints (rows independent).
-
-    Raises:
-        InputError: constraints and problem cover different asset counts.
-        SolverError: the start could not be built or certified.
-    """
-    bp = _path_start(problem, constraints, Counter())[4]
-    return bp, bp.tau
-
-
-def solve_constrained_path(problem, constraints, max_active=None):
-    """Every breakpoint of the constrained path from tau_0 down to tau_stop.
-
-    Weights and multipliers are both piecewise linear in tau between the
-    returned breakpoints; segments where only the multipliers move are
-    recorded like any other breakpoint. Set max_active to end the path early
-    once the working set reaches that size.
-
-    Raises:
-        SingularActiveSystem: a direction system is inconsistent.
-        SolverError: the start could not be built, a breakpoint leaves a
-            non-member beyond the boundary, or the breakpoint budget ran out.
+    Runs `_prepare`, builds the bordered matrix G once (for the face sweep
+    and every direction solve) and places the start by `_initial_state`.
+    Each pass of its loop then validates the direction on the working set
+    (unless the path has reached tau_stop), names the event, checks the
+    non-members (every breakpoint but START), yields the breakpoint, and
+    ends the path at tau_stop, past the breakpoint budget (SolverError) or
+    once the working set reaches max_active; otherwise the ratio test finds
+    the next breakpoint and the weights, multipliers and residual step to
+    it. A path that ends logs one DEBUG record of its counts; one abandoned
+    early, as `find_constrained_start` does, logs none.
     """
     counts = Counter()
-    (Rh, y, Ah, s, RtR, G), route, w, lam, bp, J, sign, (uJ, svec, v, inverse), b, ztol = (
-        _path_start(problem, constraints, counts))
-    N = Ah.shape[1]
+    Rh, y, Ah, a, s = _prepare(problem, constraints)
+    RtR = Rh.T @ Rh
+    G = _bordered_matrix(RtR, Ah)
+    route, w, lam, tau, tight = _initial_state(G, Rh, y, Ah, a, counts)
     tau_stop = problem.tau_stop
-    bps = [bp]
-    budget = 60 * N + 120
-    tau = bp.tau
-    entered = np.zeros(N, dtype=bool)
-    # every regular breakpoint lands above tau_stop + ztol; STOP ends the loop
-    while tau > tau_stop + ztol:
-        if len(bps) > budget:
+    b = Rh.T @ (y - Rh @ w) + Ah.T @ lam
+    ztol = ZERO_TIE_REL * max(1.0, float(np.max(np.abs(b), initial=0.0)), tau)
+    # members: every boundary index plus every index carrying weight; the
+    # knee certificate's tight indices count as boundary whatever rounding
+    # did to their residual. Only weightless members may be dropped by
+    # direction validation
+    on = (np.abs(b) >= tau / 2.0 - ztol) | (w != 0.0)
+    on[tight] = True
+    J = np.flatnonzero(on)
+    sign = np.zeros(len(w))
+    sign[J] = np.where(w[J] != 0.0, np.sign(w[J]), np.where(b[J] >= 0, 1.0, -1.0))
+    entered = on & (w == 0.0)
+    budget = 60 * len(w) + 120
+    inverse = hit = None
+    count = 0
+    while True:
+        # every regular breakpoint lands above tau_stop + ztol; STOP at it
+        if tau > tau_stop + ztol:
+            uJ, svec, J, v, inverse = _validated_real(G, J, sign, entered, ztol,
+                                                      counts, inverse)
+        if not count:
+            event = Event("START", entered=_sorted_tuple(J))
+        elif hit is None:
+            event = Event("STOP")
+        else:
+            kept = enter[entered[enter]]
+            event = Event("ENTER" if len(kept) else "LEAVE", entered=tuple(kept.tolist()),
+                          left=_sorted_tuple(left))
+        if count:
+            _check_off_support(b, sign, tau, ztol)
+        entered[:] = False
+        count += 1
+        yield PathBreakpoint(
+            tau=tau, weights=w / s, generalized_residual=b,
+            active_set=_sorted_tuple(J), event=event, multipliers=lam.copy())
+        if tau <= tau_stop + ztol:
+            break
+        if count > budget:
             raise SolverError("constrained path exceeded its breakpoint budget")
         if max_active is not None and len(J) >= max_active:
             break
-        u = np.zeros(N)
+        u = np.zeros(len(w))
         u[J] = uJ
         if v is None:
             # a gathered solve: the velocity in the reference step's form
@@ -797,7 +764,6 @@ def solve_constrained_path(problem, constraints, max_active=None):
         lam = lam + gamma * svec
         if hit is None:
             tau = tau_stop
-            event = Event("STOP")
         else:
             _, enter, enter_sign, left = hit
             tau = tau - 2.0 * gamma
@@ -807,27 +773,55 @@ def solve_constrained_path(problem, constraints, max_active=None):
                 J = J[sign[J] != 0.0]
             J = np.concatenate((J, enter))
             sign[enter] = enter_sign
-        b = Rh.T @ (y - Rh @ w) + Ah.T @ lam
-        if hit is not None:
             entered[enter] = True
-            uJ, svec, J, v, inverse = _validated_real(G, J, sign, entered, ztol,
-                                                      counts, inverse)
-            kept = enter[entered[enter]]
-            entered[enter] = False
-            event = Event("ENTER" if len(kept) else "LEAVE", entered=tuple(kept.tolist()),
-                          left=_sorted_tuple(left))
-        _check_off_support(b, sign, tau, ztol)
-        bps.append(PathBreakpoint(
-            tau=tau, weights=w / s, generalized_residual=b,
-            active_set=_sorted_tuple(J), event=event, multipliers=lam.copy()))
+        b = Rh.T @ (y - Rh @ w) + Ah.T @ lam
     log.debug("start: %s route, %d face solves, %d face least-squares fallbacks; "
               "continuation: %d breakpoints, %d direction solves "
               "(%d inverse updates, %d re-seeds), %d least-squares fallbacks",
               route, counts["face_solves"], counts["face_fallbacks"],
-              len(bps), counts["solves"], counts["updates"], counts["reseeds"],
+              count, counts["solves"], counts["updates"], counts["reseeds"],
               counts["fallbacks"])
-    fp = problem.fingerprint(extra=constraints.fingerprint_bytes())
-    return SolutionPath(breakpoints=tuple(bps), problem_fingerprint=fp)
+
+
+def find_constrained_start(problem, constraints):
+    """First breakpoint of the constrained path and its penalty level tau_0.
+
+    The returned weights minimize the constrained objective for every
+    tau >= tau_0 (the path is constant up there). With a nonzero
+    right-hand side they are the least-squares point of the l1-minimal face
+    of the constraints, and the multipliers are those of the certificate
+    that pins tau_0; with a zero right-hand side the weights are zero and
+    the multipliers minimize max_i |R^T y + A^T lam|_i. It is the START
+    breakpoint of `solve_constrained_path`, working set and all: the first
+    breakpoint of the same generator, which then stops.
+
+    Args:
+        problem: data term and penalty weights.
+        constraints: feasible affine constraints (rows independent).
+
+    Raises:
+        InputError: constraints and problem cover different asset counts.
+        SolverError: the start could not be built or certified.
+    """
+    bp = next(_breakpoints(problem, constraints))
+    return bp, bp.tau
+
+
+def solve_constrained_path(problem, constraints, max_active=None):
+    """Every breakpoint of the constrained path from tau_0 down to tau_stop.
+
+    Weights and multipliers are both piecewise linear in tau between the
+    returned breakpoints; segments where only the multipliers move are
+    recorded like any other breakpoint. Set max_active to end the path early
+    at the first breakpoint whose working set reaches that size; the
+    breakpoints up to it are those of the full path.
+
+    Raises:
+        SingularActiveSystem: a direction system is inconsistent.
+        SolverError: the start could not be built, a breakpoint leaves a
+            non-member beyond the boundary, or the breakpoint budget ran out.
+    """
+    return SolutionPath(tuple(_breakpoints(problem, constraints, max_active)))
 
 
 def solve_path(problem):
@@ -845,6 +839,5 @@ def solve_path(problem):
         only = PathBreakpoint(tau=problem.tau_stop, weights=np.zeros(len(c)),
                               generalized_residual=c, active_set=(),
                               event=Event("START"))
-        fp = problem.fingerprint(extra=none.fingerprint_bytes())
-        return SolutionPath(breakpoints=(only,), problem_fingerprint=fp)
+        return SolutionPath((only,))
     return solve_constrained_path(problem, none)

@@ -14,7 +14,6 @@ continuation engine in `path_constrained`.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,15 +113,6 @@ class PenalizedProblem:
         """Design with column i divided by s_i (reduces to the plain penalty)."""
         return self.design / self.penalty_weights[np.newaxis, :]
 
-    def fingerprint(self, extra: bytes = b"") -> str:
-        h = hashlib.sha256()
-        for a in (self.design, self.target, self.penalty_weights):
-            h.update(np.ascontiguousarray(a, dtype=float).tobytes())
-            h.update(repr(a.shape).encode())
-        h.update(repr(self.tau_stop).encode())
-        h.update(extra)
-        return h.hexdigest()
-
 
 @dataclass(frozen=True)
 class Event:
@@ -165,10 +155,13 @@ class PathBreakpoint:
 
 @dataclass(frozen=True, eq=False)
 class SolutionPath:
-    """Ordered breakpoints with strictly decreasing tau."""
+    """Ordered breakpoints with strictly decreasing tau, START first.
+
+    It holds the breakpoints and nothing else: `eval_at` and
+    `multipliers_at` read the path between them.
+    """
 
     breakpoints: tuple
-    problem_fingerprint: str
 
     def eval_at(self, tau: float) -> np.ndarray:
         return eval_at(self, tau)

@@ -479,6 +479,14 @@ def test_engine_logs_one_debug_record_per_path(caplog):
     solve_constrained_path(
         PenalizedProblem(design=np.eye(3), target=np.array([1.0, 2.0, 3.0])),
         AffineConstraints(matrix=np.ones((1, 3)), rhs=np.array([1.0])))
+    # a path cut short by max_active logs when it ends; the start alone
+    # logs nothing
+    solve_constrained_path(
+        PenalizedProblem(design=np.eye(3), target=np.array([3.0, 2.0, 1.0])),
+        no_constraints(3), max_active=2)
+    find_constrained_start(
+        PenalizedProblem(design=np.eye(3), target=np.array([3.0, 2.0, 1.0])),
+        no_constraints(3))
     messages = [r.getMessage() for r in caplog.records
                 if r.name == "sparsefolio.path_constrained"]
     assert messages == [
@@ -491,4 +499,19 @@ def test_engine_logs_one_debug_record_per_path(caplog):
         "start: face route, 3 face solves, 0 face least-squares fallbacks; "
         "continuation: 2 breakpoints, 1 direction solves "
         "(0 inverse updates, 1 re-seeds), 0 least-squares fallbacks",
+        "start: empty route, 0 face solves, 0 face least-squares fallbacks; "
+        "continuation: 2 breakpoints, 2 direction solves "
+        "(1 inverse updates, 1 re-seeds), 0 least-squares fallbacks",
     ]
+
+
+def test_breakpoint_budget_raises(monkeypatch):
+    # a ratio test that only ever finds a tiny step with nobody entering or
+    # leaving: the path must give up at its breakpoint budget
+    def creep(tau, tau_stop, b, v, w, J, uJ, sign, ztol):
+        return 1e-9 * tau, J[:0], np.zeros(0), J[:0]
+
+    monkeypatch.setattr(path_constrained, "_next_event", creep)
+    problem = PenalizedProblem(design=np.eye(3), target=np.array([3.0, 2.0, 1.0]))
+    with pytest.raises(SolverError, match="exceeded its breakpoint budget"):
+        solve_path(problem)

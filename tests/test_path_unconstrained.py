@@ -229,7 +229,7 @@ def test_interpolation_contract():
 
 
 def test_interpolation_of_empty_path_raises():
-    path = SolutionPath(breakpoints=(), problem_fingerprint="empty")
+    path = SolutionPath(breakpoints=())
     for read in (eval_at, multipliers_at):
         with pytest.raises(SolverError):
             read(path, 1.0)
@@ -264,10 +264,3 @@ def test_eval_below_stop_raises():
     path = solve_path(p)
     with pytest.raises(TauBelowStop):
         path.eval_at(0.5)
-
-
-def test_fingerprint_binds_path_to_problem():
-    p1 = identity_problem()
-    p2 = PenalizedProblem(design=np.eye(2), target=np.array([3.0, 1.0 + 1e-9]))
-    assert solve_path(p1).problem_fingerprint == solve_path(p1).problem_fingerprint
-    assert solve_path(p1).problem_fingerprint != solve_path(p2).problem_fingerprint

@@ -29,10 +29,12 @@ from sparsefolio import (
     select_binned,
     select_exact_k,
     select_no_short,
+    solve_constrained_path,
     solve_path,
     solve_portfolio_path,
 )
 from sparsefolio.path_unconstrained import PathBreakpoint, Event, SolutionPath
+from sparsefolio.portfolio import ACTIVE_CAP
 
 from conftest import factor_panel, markowitz_instance
 
@@ -137,6 +139,24 @@ def test_two_asset_singleton_feasible_point():
         np.testing.assert_allclose(bp.weights, w_unique, atol=1e-10)
 
 
+def test_wide_path_stops_at_the_active_cap():
+    # 80 assets, above ACTIVE_CAP: the path ends at the first breakpoint
+    # whose working set reaches the cap, and up to there it is the full path
+    returns = factor_panel(3, 80, 120)
+    spec = spec_for(make_panel(returns), rho=float(returns.mean()))
+    problem, cons = build_markowitz_problem(spec)
+    capped = solve_portfolio_path(problem, cons).breakpoints
+    full = solve_constrained_path(problem, cons).breakpoints
+    sizes = [len(bp.active_set) for bp in full]
+    first = next(i for i, k in enumerate(sizes) if k >= ACTIVE_CAP)
+    assert len(capped) == first + 1 < len(full)
+    for bp, ref in zip(capped, full):
+        assert bp.tau == ref.tau
+        assert bp.active_set == ref.active_set and bp.event == ref.event
+        for name in ("weights", "generalized_residual", "multipliers"):
+            assert getattr(bp, name).tobytes() == getattr(ref, name).tobytes()
+
+
 # --- selection policies ---
 
 def test_no_short_selection_properties():
@@ -164,7 +184,7 @@ def test_no_short_rejects_negative_start():
         active_set=(0, 1),
         event=Event("START"),
     )
-    path = SolutionPath(breakpoints=(bad,), problem_fingerprint="x")
+    path = SolutionPath(breakpoints=(bad,))
     with pytest.raises(NotNonnegativeStart):
         select_no_short(path, problem)
 
@@ -262,7 +282,7 @@ def fabricated_path(entries):
         )
         for tau, w in entries
     )
-    return SolutionPath(breakpoints=bps, problem_fingerprint="fixture")
+    return SolutionPath(breakpoints=bps)
 
 
 def test_binned_tie_breaks_on_l1_then_tau():
