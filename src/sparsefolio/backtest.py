@@ -13,8 +13,8 @@ percent figures in the CSV tables are produced at presentation time only.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -25,13 +25,11 @@ from .portfolio import (
     MarkowitzSpec,
     Policy,
     PortfolioSelection,
-    _exact_k,
-    _support_sizes,
+    _portfolio_path,
     build_markowitz_problem,
     select_binned,
     select_exact_k,
     select_no_short,
-    solve_portfolio_path,
 )
 
 __all__ = [
@@ -49,6 +47,8 @@ __all__ = [
     "active_counts_csv",
     "sharpe_vs_k_csv",
 ]
+
+log = logging.getLogger(__name__)
 
 
 def _fmt_month(date: tuple) -> str:
@@ -179,10 +179,14 @@ class BacktestReport:
     """Everything the exercise produced, per year and pooled.
 
     constructions holds one (problem, path, holding panel) per construction
-    year, or the InputError/SolverError its window, build or solve raised
-    (its target_returns entry is None if no target was reached). selections
-    holds one PortfolioSelection per year, None for failed years; each
-    construction or policy failure is recorded as (year, error class name,
+    year, or the InputError/SolverError its window, build or path start
+    raised (its target_returns entry is None if no target was reached).
+    Each path is filled on demand and solved only as far as a selection
+    has read it; reading constructions[i][1].breakpoints solves the rest
+    of that path and can raise the error its engine meets there.
+    selections holds one PortfolioSelection per year, None for failed
+    years; each construction or policy failure, an error met while the
+    policy read the path included, is recorded as (year, error class name,
     message). series/benchmark_series are the pooled monthly returns of the
     strategy and the evenly weighted portfolio; stats and benchmark_stats
     line up with evaluation_periods (None entries mark periods whose pooled
@@ -210,9 +214,18 @@ def _apply_policy(path, problem, policy: Policy) -> PortfolioSelection:
     return select_binned(path, problem, policy.k_min, policy.k_max)
 
 
-def _pool(years, constructions, select):
-    """(selections, failures, pooled series) of select(path, problem)."""
-    selections, failures, months, values = [], [], [], []
+def _held_series(held) -> MonthlySeries:
+    """Pooled monthly returns of (holding panel, weights) pairs, in order."""
+    months, values = [], []
+    for hold, w in held:
+        months.extend(hold.dates)
+        values.extend(hold.returns @ w)
+    return MonthlySeries(months=tuple(months), values=np.array(values))
+
+
+def _pool(years, constructions, policy):
+    """(selections, failures, pooled series) of the policy over the years."""
+    selections, failures, held = [], [], []
     for year, built in zip(years, constructions):
         sel = error = None
         if isinstance(built, Exception):
@@ -220,28 +233,31 @@ def _pool(years, constructions, select):
         else:
             problem, path, hold = built
             try:
-                sel = select(path, problem)
+                sel = _apply_policy(path, problem, policy)
             except SolverError as exc:
                 error = exc
         selections.append(sel)
         if error is not None:
             failures.append((year, type(error).__name__, str(error)))
         else:
-            months.extend(hold.dates)
-            values.extend(hold.returns @ sel.weights)
-    series = MonthlySeries(months=tuple(months), values=np.array(values))
-    return tuple(selections), tuple(failures), series
+            held.append((hold, sel.weights))
+    return tuple(selections), tuple(failures), _held_series(held)
 
 
 def run_exercise(panel: ReturnPanel, config: BacktestConfig) -> BacktestReport:
     """The full rolling exercise.
 
-    Every construction June: train on the trailing window, solve the
+    Every construction June: train on the trailing window, start the
     constrained path, apply the configured policy, then record the selected
-    portfolio's return for each of the following 12 months. A year whose
-    window, build, solve or policy fails is recorded in failures and
-    contributes no strategy returns; the benchmark series covers every
-    holding window that exists.
+    portfolio's return for each of the following 12 months. Each year's
+    path is solved once, and only as far as a selection reads it: its START
+    at construction, then what the policy reads (no-short reads nothing
+    more, exact-k reads up to its first hit, binned reads the whole path).
+    A year whose window, build, path start or policy fails, or whose path
+    fails within the part the policy reads, is recorded in failures and
+    contributes no strategy returns; a failure past that part reaches no
+    selection. The benchmark series covers every holding window that
+    exists.
     """
     periods = default_evaluation_periods(config)
     years = range(config.first_construction[0], config.last_construction[0] + 1)
@@ -259,13 +275,13 @@ def run_exercise(panel: ReturnPanel, config: BacktestConfig) -> BacktestReport:
             problem, constraints = build_markowitz_problem(
                 MarkowitzSpec(target_return=rho, training_panel=train)
             )
-            constructions.append(
-                (problem, solve_portfolio_path(problem, constraints), hold))
+            path = _portfolio_path(problem, constraints)
+            next(iter(path))  # a failed start fails the construction
+            constructions.append((problem, path, hold))
         except (InputError, SolverError) as exc:
             constructions.append(exc)
         rhos.append(rho)
-    selections, failures, series = _pool(
-        years, constructions, partial(_apply_policy, policy=config.policy))
+    selections, failures, series = _pool(years, constructions, config.policy)
     bench = MonthlySeries(months=tuple(bench_months), values=np.array(bench_vals))
     return BacktestReport(
         years=tuple(years),
@@ -285,21 +301,53 @@ def run_exercise(panel: ReturnPanel, config: BacktestConfig) -> BacktestReport:
 def k_sweep(report: BacktestReport, k_min: int, k_max: int):
     """Full-period Sharpe of the exact-k strategy for each k in the range.
 
-    Reuses the exercise's paths and counts each path's nonzero weights
-    once for every k; each year selects as select_exact_k does. Returns a
-    list of (k, PerformanceStats or None); a k unattained in some year, a
-    failed construction year, or degenerate pooled statistics yield None
-    rather than a partial pool.
+    Reuses the exercise's paths in one pass over the years: each year's
+    path is read from its START only until it has met every k still
+    wanted, and each year selects as select_exact_k does. A k is ruled out
+    by the first year whose construction failed, whose path never reaches
+    k, or whose path raised before reaching k; no later year looks for it.
+    Returns a list of (k, PerformanceStats or None); a ruled-out k or
+    degenerate pooled statistics yield None rather than a partial pool.
+    Logs one DEBUG record: the breakpoints read, the paths read to their
+    end, and the year that ruled out each such k.
     """
+    ks = range(int(k_min), int(k_max) + 1)
+    chosen = {k: [] for k in ks}  # k still wanted -> (holding, weights) per year
+    ruled_out = {}  # k -> the first year that ruled it out
+    read = finished = 0
+    for year, built in zip(report.years, report.constructions):
+        if not chosen:
+            break
+        hits = {}
+        if not isinstance(built, Exception):
+            _, path, hold = built
+            try:
+                for bp in path:
+                    read += 1
+                    n = np.count_nonzero(bp.weights)
+                    if n in chosen and n not in hits:
+                        hits[n] = bp.weights
+                        if len(hits) == len(chosen):
+                            break
+                else:
+                    finished += 1
+            except SolverError:
+                pass  # the ks not met before the error are ruled out
+        for k in list(chosen):
+            if k in hits:
+                chosen[k].append((hold, hits[k]))
+            else:
+                ruled_out[k] = year
+                del chosen[k]
+    log.debug("k sweep %d..%d: %d breakpoints read, %d paths read to their "
+              "end; ruled out (k: first year): %s", ks.start, ks.stop - 1,
+              read, finished, ", ".join(
+                  f"{k}: {year}" for k, year in ruled_out.items()) or "none")
     full = report.evaluation_periods[0]
-    sizes = {id(built[1]): _support_sizes(built[1])
-             for built in report.constructions if not isinstance(built, Exception)}
     out = []
-    for k in range(int(k_min), int(k_max) + 1):
-        _, failures, series = _pool(
-            report.years, report.constructions,
-            lambda path, problem, k=k: _exact_k(path, problem, k, sizes[id(path)]))
-        out.append((k, None if failures else _stats_or_none(series, full)))
+    for k in ks:
+        out.append((k, _stats_or_none(_held_series(chosen[k]), full)
+                    if k in chosen else None))
     return out
 
 

@@ -44,9 +44,10 @@ tau at once. The path is computed in two stages:
 This is the package's one continuation engine, and one generator,
 `_breakpoints`, runs it: it yields the START breakpoint and every later one
 from a single loop. `solve_constrained_path` collects them all,
-`find_constrained_start` takes the first, and with no constraint rows the
-same loop traces the unconstrained path, which `solve_path` returns as it
-is. Every breakpoint is a `PathBreakpoint` whose multipliers have length m.
+`find_constrained_start` takes the first, a `SolutionPath` built on the
+generator pulls them as its readers need them, and with no constraint rows
+the same loop traces the unconstrained path, which `solve_path` returns as
+it is. Every breakpoint is a `PathBreakpoint` whose multipliers have length m.
 
 Penalty weights are handled by column rescaling; reported weights are in
 original coordinates while multipliers are invariant under the rescaling.

@@ -153,15 +153,54 @@ class PathBreakpoint:
     multipliers: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-@dataclass(frozen=True, eq=False)
 class SolutionPath:
     """Ordered breakpoints with strictly decreasing tau, START first.
 
-    It holds the breakpoints and nothing else: `eval_at` and
-    `multipliers_at` read the path between them.
+    Built from a sequence of breakpoints, or from an iterator of them (the
+    engine's generator), which the path then pulls on demand: iterating the
+    path pulls breakpoints only as far as the loop goes, and `breakpoints`
+    solves the rest. An error the iterator raised is raised again, the
+    same exception, by every later read past the last breakpoint it
+    yielded, so a path whose solve failed never passes for a complete one.
+    `eval_at` and `multipliers_at` read the whole path.
     """
 
-    breakpoints: tuple
+    def __init__(self, breakpoints):
+        if iter(breakpoints) is breakpoints:
+            self._read, self._source = [], breakpoints
+        else:
+            self._read, self._source = tuple(breakpoints), None
+        self._error = None
+
+    def _pull(self) -> bool:
+        """Read one more breakpoint; False once the path is complete."""
+        if self._error is not None:
+            raise self._error
+        if self._source is None:
+            return False
+        try:
+            self._read.append(next(self._source))
+        except StopIteration:
+            self._read, self._source = tuple(self._read), None
+            return False
+        except BaseException as exc:
+            # the iterator is finished either way; keep what ended it
+            self._error = exc
+            raise
+        return True
+
+    def __iter__(self):
+        i = 0
+        while i < len(self._read) or self._pull():
+            yield self._read[i]
+            i += 1
+
+    @property
+    def breakpoints(self) -> tuple:
+        """Every breakpoint, solving the rest of the path first."""
+        while self._pull():
+            pass
+        return self._read
 
     def eval_at(self, tau: float) -> np.ndarray:
         return eval_at(self, tau)

@@ -29,7 +29,7 @@ from .errors import (
     NotNonnegativeStart,
 )
 from .market_data import ReturnPanel
-from .path_constrained import AffineConstraints, solve_constrained_path
+from .path_constrained import AffineConstraints, _breakpoints
 from .path_unconstrained import PenalizedProblem, SolutionPath
 
 __all__ = [
@@ -244,10 +244,17 @@ def solve_portfolio_path(problem: PenalizedProblem,
 
     For N <= ACTIVE_CAP the path runs down to the problem's tau_stop; above
     that it ends early once ACTIVE_CAP assets are active, since denser
-    portfolios are never selected and only overfit.
+    portfolios are never selected and only overfit. The whole path is
+    solved here, so a failure anywhere on it raises here.
     """
+    return SolutionPath(_portfolio_path(problem, constraints).breakpoints)
+
+
+def _portfolio_path(problem, constraints) -> SolutionPath:
+    """solve_portfolio_path's path, filled on demand: nothing is solved
+    until a reader pulls it."""
     cap = None if problem.n_assets <= ACTIVE_CAP else ACTIVE_CAP
-    return solve_constrained_path(problem, constraints, max_active=cap)
+    return SolutionPath(_breakpoints(problem, constraints, max_active=cap))
 
 
 def _selection(problem: PenalizedProblem, weights: np.ndarray, tau: float,
@@ -268,14 +275,15 @@ def select_no_short(path: SolutionPath,
 
     The start is the minimizer for every tau at or above the first
     breakpoint; on Markowitz constraints it coincides with the
-    nonnegativity-constrained optimum. A start with a weight below
-    -1e-10 (relative) indicates an internal solver inconsistency and is
-    fatal.
+    nonnegativity-constrained optimum. Only the START breakpoint is read,
+    so a path filled on demand is solved no further. A start with a weight
+    below -1e-10 (relative) indicates an internal solver inconsistency and
+    is fatal.
 
     Raises:
         NotNonnegativeStart: the path start has a materially negative weight.
     """
-    bp = path.breakpoints[0]
+    bp = next(iter(path))
     w = np.asarray(bp.weights, dtype=float)
     scale = max(1.0, float(np.max(np.abs(w), initial=0.0)))
     if float(w.min(initial=0.0)) < -1e-10 * scale:
@@ -290,30 +298,22 @@ def select_exact_k(path: SolutionPath, problem: PenalizedProblem,
                    k: int) -> PortfolioSelection:
     """Weights at the first (largest-tau) breakpoint with exactly k assets.
 
-    Breakpoints are scanned in path order, so if the support count is
-    non-monotone the largest-tau attainment wins.
+    Breakpoints are read in path order and the reading stops at the first
+    hit, so if the support count is non-monotone the largest-tau attainment
+    wins, and a path filled on demand is solved only that far; an error
+    the path raises before the hit is raised here.
 
     Raises:
         CardinalityUnreachable: no breakpoint has exactly k nonzero weights.
     """
-    return _exact_k(path, problem, int(k), _support_sizes(path))
-
-
-def _support_sizes(path: SolutionPath) -> np.ndarray:
-    """Nonzero weight count of each breakpoint, in path order."""
-    return np.count_nonzero([bp.weights for bp in path.breakpoints], axis=1)
-
-
-def _exact_k(path, problem, k, sizes):
-    """select_exact_k given the path's _support_sizes."""
-    hits = np.flatnonzero(sizes == k)
-    if not hits.size:
-        raise CardinalityUnreachable(
-            f"no breakpoint on the path holds exactly {k} assets"
-        )
-    bp = path.breakpoints[hits[0]]
-    return _selection(problem, np.asarray(bp.weights, dtype=float),
-                      bp.tau, Policy.exact_k(k))
+    k = int(k)
+    for bp in path:
+        if np.count_nonzero(bp.weights) == k:
+            return _selection(problem, np.asarray(bp.weights, dtype=float),
+                              bp.tau, Policy.exact_k(k))
+    raise CardinalityUnreachable(
+        f"no breakpoint on the path holds exactly {k} assets"
+    )
 
 
 def select_binned(path: SolutionPath, problem: PenalizedProblem,

@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+import logging
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsefolio import (
@@ -23,6 +25,8 @@ from sparsefolio import (
     k_sweep,
     run_exercise,
     run_k_sweep,
+    select_exact_k,
+    solve_portfolio_path,
 )
 from sparsefolio.backtest import (
     active_counts_csv,
@@ -30,7 +34,7 @@ from sparsefolio.backtest import (
     sharpe_vs_k_csv,
     stats_table_csv,
 )
-from sparsefolio import errors, jsonio
+from sparsefolio import backtest, errors, jsonio, path_constrained
 
 from conftest import degenerate_1979_panel, factor_panel
 
@@ -373,6 +377,130 @@ def test_k_sweep_matches_exercise_for_attained_k():
 def test_k_sweep_after_failed_construction_is_all_none():
     report = run_exercise(degenerate_1979_panel(), two_year_config())
     assert k_sweep(report, 1, 3) == [(1, None), (2, None), (3, None)]
+
+
+# --- paths read on demand ---
+
+def factor_exercise(seed, n, training, years=4):
+    """(panel, config) of a years-long exercise on a seeded factor panel."""
+    months = training + 12 * years
+    panel = ReturnPanel(returns=factor_panel(seed, n, months),
+                        dates=month_grid(add_months((1972, 6), 1 - training), months),
+                        asset_names=tuple(f"A{k}" for k in range(n)))
+    config = BacktestConfig(first_construction=(1972, 6),
+                            last_construction=(1971 + years, 6),
+                            training_months=training)
+    return panel, config
+
+
+def fully_solved_sweep(report, k_min, k_max):
+    """The exact-k sweep read off whole paths: select_exact_k in every year."""
+    out = []
+    for k in range(k_min, k_max + 1):
+        months, values, stats = [], [], None
+        try:
+            for built in report.constructions:
+                if isinstance(built, Exception):
+                    raise built
+                problem, path, hold = built
+                sel = select_exact_k(path, problem, k)
+                months.extend(hold.dates)
+                values.extend(hold.returns @ sel.weights)
+            stats = compute_stats(MonthlySeries(months, np.array(values)),
+                                  report.evaluation_periods[0])
+        except (InputError, SolverError):
+            pass
+        out.append((k, stats))
+    return out
+
+
+def output_bytes(report, sweeps):
+    return (jsonio.dumps(report_to_dict(report)), stats_table_csv(report),
+            active_counts_csv(report), *map(sharpe_vs_k_csv, sweeps))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 12),
+       training=st.sampled_from((8, 24)), policy=st.integers(0, 2),
+       sweeps=st.lists(st.tuples(st.integers(1, 12), st.integers(0, 4)),
+                       min_size=2, max_size=2))
+@example(seed=7, n=12, training=8, policy=1, sweeps=[(1, 4), (3, 4)])
+def test_lazy_paths_match_fully_solved_paths(seed, n, training, policy, sweeps):
+    # training = 8 with n > 8 trains on fewer months than assets
+    panel, config = factor_exercise(seed, n, training)
+    config = dataclasses.replace(config, policy=(
+        Policy.no_short(), Policy.exact_k(n // 2 + 1),
+        Policy.binned(2, n // 2 + 1))[policy])
+    ranges = [(lo, lo + width) for lo, width in sweeps]
+    report = run_exercise(panel, config)
+    lazy = output_bytes(report, [k_sweep(report, *r) for r in ranges])
+    with mock.patch.object(backtest, "_portfolio_path", solve_portfolio_path):
+        whole = run_exercise(panel, config)
+    assert lazy == output_bytes(
+        whole, [fully_solved_sweep(whole, *r) for r in ranges])
+
+
+def test_failure_in_an_unread_tail_reaches_only_its_readers(caplog):
+    # each year's path holds 4, 5, then 6 assets; 1973 fails at its third
+    # breakpoint, past what no-short and the first two sizes read
+    panel, config = factor_exercise(0, 6, 24, years=2)
+    full = run_exercise(panel, config)
+    assert [[int(np.count_nonzero(bp.weights)) for bp in built[1].breakpoints]
+            for built in full.constructions] == [[4, 5, 6], [4, 5, 6]]
+    bad = full.constructions[1][1].breakpoints[2].generalized_residual
+    message = "path left the optimum: injected at the third breakpoint"
+    check = path_constrained._check_off_support
+
+    def failing(b, sign, tau, ztol):
+        if np.array_equal(b, bad):
+            raise errors.SingularActiveSystem(message)
+        check(b, sign, tau, ztol)
+
+    caplog.set_level(logging.DEBUG, logger="sparsefolio.backtest")
+    with mock.patch.object(path_constrained, "_check_off_support", failing):
+        report = run_exercise(panel, config)
+        sweep = k_sweep(report, 4, 6)
+        five, six = (run_exercise(panel, dataclasses.replace(
+            config, policy=Policy.exact_k(k))) for k in (5, 6))
+        path = report.constructions[1][1]
+        with pytest.raises(errors.SingularActiveSystem) as first:
+            path.breakpoints
+        with pytest.raises(errors.SingularActiveSystem) as again:
+            list(path)
+    assert again.value is first.value
+    assert five.failures == ()  # 5 assets come before the failure
+    assert five.selections[1].tau == full.constructions[1][1].breakpoints[1].tau
+    assert six.failures == ((1973, "SingularActiveSystem", message),)
+    assert six.selections[1] is None
+    assert report.failures == ()
+    assert output_bytes(report, []) == output_bytes(full, [])
+    assert [k for k, st in sweep if st is not None] == [4, 5]
+    assert sweep[:2] == k_sweep(full, 4, 5)
+    assert [r.getMessage() for r in caplog.records
+            if r.name == "sparsefolio.backtest"] == [
+        "k sweep 4..6: 5 breakpoints read, 0 paths read to their end; "
+        "ruled out (k: first year): 6: 1973",
+        "k sweep 4..5: 4 breakpoints read, 0 paths read to their end; "
+        "ruled out (k: first year): none"]
+
+
+def test_backtest_engine_work_is_at_most_half_the_whole_paths(monkeypatch):
+    # the paper's shape: 48 assets, 60-month windows, 30 Junes, sweep 1..20
+    panel, config = factor_exercise(0, 48, 60, years=30)
+    yielded = []
+    breakpoint_type = path_constrained.PathBreakpoint
+
+    def counted(**fields):
+        yielded.append(fields["tau"])
+        return breakpoint_type(**fields)
+
+    monkeypatch.setattr(path_constrained, "PathBreakpoint", counted)
+    report = run_exercise(panel, config)
+    k_sweep(report, 1, 20)
+    read = len(yielded)
+    whole = sum(len(built[1].breakpoints) for built in report.constructions)
+    assert len(yielded) == whole  # no breakpoint is solved twice
+    assert 2 * read <= whole
 
 
 # --- adversarial panels ---

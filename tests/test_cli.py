@@ -282,13 +282,13 @@ def test_backtest_k_sweep_file(tmp_path):
 def test_backtest_k_sweep_solves_each_path_once(tmp_path, monkeypatch):
     data, _ = synthetic_panel_csv(tmp_path, seed=4)
     calls = []
-    solve = backtest.solve_portfolio_path
+    start = backtest._portfolio_path
 
     def counted(*args):
         calls.append(args)
-        return solve(*args)
+        return start(*args)
 
-    monkeypatch.setattr(backtest, "solve_portfolio_path", counted)
+    monkeypatch.setattr(backtest, "_portfolio_path", counted)
     code = cli.main(["backtest", "--data", data, "--out", str(tmp_path / "out"),
                      "--start", "1978-06", "--end", "1979-06",
                      "--training-months", "24", "--k-sweep", "1,4"])
