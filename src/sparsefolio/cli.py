@@ -5,6 +5,10 @@ from a JSON config file (--config), with explicit flags taking precedence.
 Machine outputs are byte-identical across runs on identical inputs: JSON via
 the deterministic emitter, CSV floats at 17 significant digits.
 
+Input files are read as UTF-8, with or without a byte-order mark. A
+parsed JSON document is dropped as soon as its arrays are built, so it is
+not held through the solve and the write.
+
 Exit codes: 0 success, 2 input error, 3 solver error; the error class name
 is printed to stderr.
 """
@@ -14,6 +18,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 
 import numpy as np
@@ -49,8 +54,9 @@ __all__ = ["main"]
 # --- plumbing ---
 
 def _read_text(path: str) -> str:
+    """The file's text; a leading UTF-8 byte-order mark is dropped."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}")
@@ -228,14 +234,17 @@ def _load_problem_doc(doc):
 
 
 def cmd_solve(args) -> int:
-    doc = _read_json(_require(args, "problem"))
-    problem, constraints = _load_problem_doc(doc)
+    problem, constraints = _load_problem_doc(_read_json(_require(args, "problem")))
     if constraints is None:
         path = solve_path(problem)
     else:
         path = solve_constrained_path(problem, constraints)
     _emit_path(path, args)
     return 0
+
+
+# a canonical CSV panel starts with its header, after any whitespace
+_CSV_HEADER = re.compile(r"\s*date,")
 
 
 def _load_panel(path_arg: str, n_assets=None):
@@ -246,7 +255,7 @@ def _load_panel(path_arg: str, n_assets=None):
     """
     text = _read_text(path_arg)
     n = _ints(n_assets, "--assets") if n_assets is not None else None
-    parse = panel_from_csv if text.lstrip().startswith("date,") else parse_ff_file
+    parse = panel_from_csv if _CSV_HEADER.match(text) else parse_ff_file
     return parse(text, n)
 
 
@@ -301,15 +310,18 @@ def cmd_track(args) -> int:
     return 0
 
 
-def cmd_hedge(args) -> int:
-    doc = _read_json(_require(args, "scenario"))
+def _load_scenario_doc(doc) -> HedgingScenario:
     if not isinstance(doc, dict):
         raise InputError("scenario document must be a JSON object")
     fields = ("pnl_existing", "pnl_unit", "probabilities", "spreads")
     for key in fields:
         if key not in doc:
             raise InputError(f"scenario document missing {key!r}")
-    scenario = HedgingScenario(**{key: _floats(doc[key], key) for key in fields})
+    return HedgingScenario(**{key: _floats(doc[key], key) for key in fields})
+
+
+def cmd_hedge(args) -> int:
+    scenario = _load_scenario_doc(_read_json(_require(args, "scenario")))
     problem = build_hedging_problem(scenario)
     path = solve_path(problem)
     _emit_path(path, args)

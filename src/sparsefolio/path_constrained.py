@@ -707,8 +707,9 @@ def _breakpoints(problem, constraints, max_active=None):
     """
     counts = Counter()
     Rh, y, Ah, a, s = _prepare(problem, constraints)
-    RtR = Rh.T @ Rh
-    G = _bordered_matrix(RtR, Ah)
+    n = Rh.shape[1]
+    # one Gram copy per path: R^T R is read as G[:n, :n] throughout
+    G = _bordered_matrix(Rh.T @ Rh, Ah)
     route, w, lam, tau, tight = _initial_state(G, Rh, y, Ah, a, counts)
     tau_stop = problem.tau_stop
     b = Rh.T @ (y - Rh @ w) + Ah.T @ lam
@@ -758,7 +759,7 @@ def _breakpoints(problem, constraints, max_active=None):
             # a gathered solve: the velocity in the reference step's form
             # (tests/oracles.py), so that the singular and ill-conditioned
             # systems that take that route round alike
-            v = RtR @ u - Ah.T @ svec
+            v = G[:n, :n] @ u - Ah.T @ svec
         hit = _next_event(tau, tau_stop, b, v, w, J, uJ, sign, ztol)
         gamma = (tau - tau_stop) / 2.0 if hit is None else hit[0]
         w = w + gamma * u

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from sparsefolio import ReturnPanel, add_months, backtest, cli
 from sparsefolio.market_data import panel_to_csv
 
-from conftest import degenerate_1979_panel
+from conftest import degenerate_1979_panel, factor_panel
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -444,3 +445,78 @@ def test_adjust_starts_from_zero_trades(tmp_path):
     assert first[2] == "0"  # no trades at the start of the path
     doc = json.loads((out / "path.json").read_text())
     assert doc["breakpoints"][0]["weights"] == [0.0, 0.0, 0.0, 0.0]
+
+
+def test_adjust_reads_byte_order_marked_inputs(tmp_path, capsys):
+    """A UTF-8 byte-order mark on the panel and the JSON inputs changes nothing."""
+    data, _ = synthetic_panel_csv(tmp_path, seed=6)
+    inputs = {"panel": pathlib.Path(data).read_text(encoding="utf-8"),
+              "current": json.dumps([0.25, 0.25, 0.25, 0.25]),
+              "spreads": json.dumps([1.0, 0.5, 2.0, 1.5])}
+    written = []
+    for bom in ("", "\ufeff"):
+        argv = ["adjust"]
+        for flag, text in inputs.items():
+            dest = tmp_path / f"{flag}{len(bom)}"
+            dest.write_text(bom + text, encoding="utf-8")
+            argv += [f"--{flag}", str(dest)]
+        out = tmp_path / f"out{len(bom)}"
+        assert cli.main(argv + ["--out", str(out)]) == 0, capsys.readouterr().err
+        written.append({name: (out / name).read_bytes()
+                        for name in ("path.json", "frontier.csv")})
+    assert (tmp_path / "panel1").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert written[0] == written[1]
+
+
+# --- memory: inputs are held as arrays, not as Python objects ---
+
+# a traced peak above this multiple of the input file's size means the
+# parsed input is held as Python objects or kept alive past its arrays
+PEAK_PER_INPUT_BYTE = 3.2
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def wide_inputs(tmp_path, n_assets=200, n_months=600):
+    """A canonical CSV panel and a two-row constrained problem on it."""
+    returns = factor_panel(11, n_assets, n_months)
+    panel = ReturnPanel(
+        returns=returns,
+        dates=tuple(add_months((1970, 7), k) for k in range(n_months)),
+        asset_names=tuple(f"a{k:03d}" for k in range(n_assets)))
+    csv = tmp_path / "panel.csv"
+    csv.write_text(panel_to_csv(panel), encoding="utf-8")
+    rng = np.random.default_rng(12)
+    mix = rng.uniform(0.0, 1.0, n_assets)
+    mix /= mix.sum()
+    matrix = rng.standard_normal((2, n_assets))
+    problem = write_json(tmp_path / "problem.json", {
+        "design": returns.tolist(),
+        "target": (returns @ mix + 0.02 * rng.standard_normal(n_months)).tolist(),
+        "constraints": {"matrix": matrix.tolist(), "rhs": (matrix @ mix).tolist()},
+    })
+    return str(csv), problem
+
+
+def test_input_peak_memory_is_bounded_by_the_file_size(tmp_path, capsys):
+    csv, problem = wide_inputs(tmp_path)
+    (tmp_path / "warm").mkdir()
+    small_csv, small_problem = wide_inputs(tmp_path / "warm", 4, 12)
+    # warm up on small inputs, so that no lazy import is counted
+    cli._load_panel(small_csv)
+    assert cli.main(["solve", "--problem", small_problem,
+                     "--out", str(tmp_path / "warm" / "out")]) == 0
+
+    panel_peak = traced_peak(cli._load_panel, csv)
+    assert panel_peak < PEAK_PER_INPUT_BYTE * os.path.getsize(csv)
+    solve_peak = traced_peak(cli.main, ["solve", "--problem", problem,
+                                        "--out", str(tmp_path / "out")])
+    assert solve_peak < PEAK_PER_INPUT_BYTE * os.path.getsize(problem)
+    assert (tmp_path / "out" / "path.json").exists(), capsys.readouterr().err

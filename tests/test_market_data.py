@@ -5,6 +5,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparsefolio import (
     EmptyFile,
@@ -167,6 +169,15 @@ def test_parse_malformed_row():
         parse_ff_file("200001 1.0 oops\n", expected_assets=2)
 
 
+def test_parse_month_token_must_be_decimal_digits():
+    # "²" is a digit to str.isdigit but not to int(): no month, no ValueError
+    text = "  a b\n19760\u00b2 1.0 2.0\n200001 1.0 2.0\n200002 3.0 4.0\n"
+    panel = parse_ff_file(text)
+    assert panel.dates == ((2000, 1), (2000, 2))
+    with pytest.raises(EmptyFile):
+        parse_ff_file("19760\u00b2 1.0 2.0\n")
+
+
 def test_parse_empty_file():
     with pytest.raises(EmptyFile):
         parse_ff_file("just a banner\nno data here\n", expected_assets=2)
@@ -254,3 +265,82 @@ def test_ff_parse_then_csv_round_trip():
     back = panel_from_csv(panel_to_csv(panel))
     np.testing.assert_array_equal(back.returns, panel.returns)
     assert back.dates == panel.dates
+
+
+# --- the value parse: every token read exactly as float() reads it ---
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@st.composite
+def finite_returns(draw):
+    t, n = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=t * n, max_size=t * n))
+    return np.array(values).reshape(t, n)
+
+
+# signed zeros, subnormals and extreme exponents
+EDGE_VALUES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+               1.7976931348623157e308, -1e-300, 1e300, 0.1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_returns())
+@example(np.array(EDGE_VALUES).reshape(2, 4))
+def test_csv_round_trip_is_bit_exact(returns):
+    t, n = returns.shape
+    panel = ReturnPanel(returns=returns, dates=month_grid((1990, 1), t),
+                        asset_names=tuple(f"A{k}" for k in range(n)))
+    back = panel_from_csv(panel_to_csv(panel))
+    np.testing.assert_array_equal(bits(back.returns), bits(panel.returns))
+
+
+# tokens float() accepts; the CSV keeps a cell's spaces, the raw layout
+# splits them off
+FLOAT_TOKENS = [" 1.5", "1_0", "+.5", "5.", "1E-3", "-99.990", "2.50 "]
+
+
+def csv_with(token):
+    return f"date,a,b\n2000-01,{token},0.25\n2000-02,1.0,2.0\n"
+
+
+def ff_with(token):
+    return f"  a b\n200001 {token} 0.25\n200002 1.0 2.0\n200003 0.5 3.0\n"
+
+
+@pytest.mark.parametrize("token", FLOAT_TOKENS)
+def test_csv_value_reads_as_float_does(token):
+    panel = panel_from_csv(csv_with(token))
+    assert bits(panel.returns[0, 0]) == bits(float(token))
+
+
+@pytest.mark.parametrize("token", FLOAT_TOKENS)
+def test_ff_value_is_float_scaled(token):
+    panel = parse_ff_file(ff_with(token))
+    rows = [[float(token), 0.25], [1.0, 2.0], [0.5, 3.0]]
+    kept = [row for row in rows if -99.99 not in row]
+    expected = [[v * 12.0 / 100.0 for v in row] for row in kept]
+    np.testing.assert_array_equal(bits(panel.returns), bits(expected))
+    assert ((2000, 1) in panel.dates) == (float(token) != -99.99)
+
+
+@pytest.mark.parametrize("token", ["0x10", "", "abc"])
+def test_csv_bad_value_names_its_row(token):
+    with pytest.raises(MalformedRow, match="2000-01"):
+        panel_from_csv(csv_with(token))
+
+
+@pytest.mark.parametrize("token", ["0x10", "abc"])
+def test_ff_bad_value_names_its_row(token):
+    with pytest.raises(MalformedRow, match="row 200001: non-numeric token"):
+        parse_ff_file(ff_with(token))
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e999"])
+@pytest.mark.parametrize("parse,text", [(panel_from_csv, csv_with),
+                                        (parse_ff_file, ff_with)])
+def test_non_finite_value_is_the_panel_error(parse, text, token):
+    with pytest.raises(InputError, match="non-finite"):
+        parse(text(token))
