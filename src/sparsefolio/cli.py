@@ -18,7 +18,6 @@ import argparse
 import json
 import logging
 import os
-import re
 import sys
 
 import numpy as np
@@ -234,17 +233,15 @@ def _load_problem_doc(doc):
 
 
 def cmd_solve(args) -> int:
-    problem, constraints = _load_problem_doc(_read_json(_require(args, "problem")))
+    doc = _read_json(_require(args, "problem"))
+    problem, constraints = _load_problem_doc(doc)
+    del doc
     if constraints is None:
         path = solve_path(problem)
     else:
         path = solve_constrained_path(problem, constraints)
     _emit_path(path, args)
     return 0
-
-
-# a canonical CSV panel starts with its header, after any whitespace
-_CSV_HEADER = re.compile(r"\s*date,")
 
 
 def _load_panel(path_arg: str, n_assets=None):
@@ -255,7 +252,7 @@ def _load_panel(path_arg: str, n_assets=None):
     """
     text = _read_text(path_arg)
     n = _ints(n_assets, "--assets") if n_assets is not None else None
-    parse = panel_from_csv if _CSV_HEADER.match(text) else parse_ff_file
+    parse = panel_from_csv if text.lstrip().startswith("date,") else parse_ff_file
     return parse(text, n)
 
 
@@ -310,18 +307,16 @@ def cmd_track(args) -> int:
     return 0
 
 
-def _load_scenario_doc(doc) -> HedgingScenario:
+def cmd_hedge(args) -> int:
+    doc = _read_json(_require(args, "scenario"))
     if not isinstance(doc, dict):
         raise InputError("scenario document must be a JSON object")
     fields = ("pnl_existing", "pnl_unit", "probabilities", "spreads")
     for key in fields:
         if key not in doc:
             raise InputError(f"scenario document missing {key!r}")
-    return HedgingScenario(**{key: _floats(doc[key], key) for key in fields})
-
-
-def cmd_hedge(args) -> int:
-    scenario = _load_scenario_doc(_read_json(_require(args, "scenario")))
+    scenario = HedgingScenario(**{key: _floats(doc[key], key) for key in fields})
+    del doc
     problem = build_hedging_problem(scenario)
     path = solve_path(problem)
     _emit_path(path, args)

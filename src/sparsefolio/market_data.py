@@ -8,9 +8,10 @@ at the boundary: percent -> decimal and x12 simple annualization, so a row
 canonical CSV form (header "date,<names>", ISO YYYY-MM dates, decimal
 annualized returns) and never sees the raw layout again.
 
-Both parsers read each value token exactly as ``float()`` reads it and store
-it straight into one preallocated float64 array, so a panel costs its 8
-bytes per value and not a Python float object per value while it is read.
+Both parsers read each value token exactly as ``float()`` reads it.
+`panel_from_csv` stores the values straight into one preallocated float64
+array, so a canonical panel costs its 8 bytes per value and not a Python
+float object per value while it is read.
 """
 from __future__ import annotations
 
@@ -123,16 +124,9 @@ class ReturnPanel:
         return self.returns.shape[1]
 
 
-def _block_row(line: str) -> bool:
-    """Whether the line is a monthly data row: its first token is YYYYMM.
-
-    The digits are those int() reads (str.isdecimal), so a token such as
-    "19760²" is not a month.
-    """
-    toks = line.split()
-    if not toks:
-        return False
-    tok = toks[0]
+def _is_yyyymm(tok: str) -> bool:
+    # str.isdecimal admits exactly the digits int() reads, so "19760²" is not
+    # a month
     return len(tok) == 6 and tok.isdecimal() and 1 <= int(tok[4:6]) <= 12
 
 
@@ -153,12 +147,11 @@ def parse_ff_file(raw, expected_assets: int | None = None) -> ReturnPanel:
     """Parse the first monthly block of a Fama-French layout file.
 
     raw may be a text string or a file-like object. Values are percent
-    monthly returns, each token read exactly as ``float()`` reads it and
-    stored straight into one float64 array; the output panel holds decimal
-    annualized returns (value * 12 / 100). A month containing the -99.99
-    sentinel in any column is dropped entirely, with a logged warning.
-    Every data row must hold expected_assets values; None takes the count
-    from the first data row.
+    monthly returns; the output panel holds decimal annualized returns
+    (value * 12 / 100). A month containing the -99.99 sentinel in any
+    column is dropped entirely, with a logged warning. Every data row must
+    hold expected_assets values; None takes the count from the first data
+    row.
 
     Raises:
         MalformedRow: non-numeric token inside a data row.
@@ -170,50 +163,48 @@ def parse_ff_file(raw, expected_assets: int | None = None) -> ReturnPanel:
         if expected_assets < 1:
             raise InputError("expected_assets must be positive")
     text = raw.read() if hasattr(raw, "read") else str(raw)
-    lines = text.splitlines()
 
-    # the block runs from the first YYYYMM row to the next blank line or
-    # banner; the line before it, if any, is the header
+    rows, dates = [], []
     header_line = None
-    for lo, line in enumerate(lines):
-        if _block_row(line):
-            break
-        if line.strip():
-            header_line = line.strip()
-    else:
-        raise EmptyFile("no monthly data rows found")
-    hi = lo
-    while hi < len(lines) and _block_row(lines[hi]):
-        hi += 1
-    if expected_assets is None:
-        expected_assets = len(lines[lo].split()) - 1
-
-    returns = np.empty((hi - lo, expected_assets))
-    dates = []
-    for line in lines[lo:hi]:
-        toks = line.split()
+    prev_nonempty = None
+    started = False
+    for line in text.splitlines():
+        stripped = line.strip()
+        toks = stripped.split()
+        if not started:
+            if toks and _is_yyyymm(toks[0]):
+                started = True
+                header_line = prev_nonempty
+            else:
+                if stripped:
+                    prev_nonempty = stripped
+                continue
+        elif not toks or not _is_yyyymm(toks[0]):
+            break  # first monthly block ends at a blank line or a new banner
+        date = (int(toks[0][:4]), int(toks[0][4:6]))
         values = toks[1:]
+        if expected_assets is None:
+            expected_assets = len(values)
         if len(values) != expected_assets:
             raise WrongColumnCount(
                 f"row {toks[0]}: {len(values)} values, expected {expected_assets}"
             )
-        row = returns[len(dates)]
         try:
-            row[:] = [float(v) for v in values]
+            vals = [float(v) for v in values]
         except ValueError:
             raise MalformedRow(f"row {toks[0]}: non-numeric token")
-        if (row == SENTINEL).any():
+        if any(v == SENTINEL for v in vals):
             log.warning("dropping month %s: missing-value sentinel present", toks[0])
             continue
-        dates.append((int(toks[0][:4]), int(toks[0][4:6])))
+        dates.append(date)
+        rows.append([v * ANNUALIZER / 100.0 for v in vals])
 
-    if not dates:
+    if not rows:
         raise EmptyFile("no monthly data rows found")
-    returns = returns[:len(dates)]
-    returns *= ANNUALIZER
-    returns /= 100.0
     names = _header_names(header_line, expected_assets)
-    return ReturnPanel(returns=returns, dates=tuple(dates), asset_names=names)
+    return ReturnPanel(
+        returns=np.array(rows, dtype=float), dates=tuple(dates), asset_names=names
+    )
 
 
 def window(panel: ReturnPanel, start: tuple, length_months: int) -> ReturnPanel:

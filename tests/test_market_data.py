@@ -164,6 +164,17 @@ def test_parse_wrong_column_count():
         parse_ff_file("200001 1.0 2.0\n200002 1.0 2.0 3.0\n")
 
 
+@pytest.mark.parametrize("parse,text", [
+    (parse_ff_file, "200001 1.0 2.0\n"),
+    (panel_from_csv, "date,a,b\n2000-01,1.0,2.0\n"),
+])
+def test_huge_expected_count_is_a_column_error(parse, text):
+    # the count comes from --assets: a huge one is a mismatch, not an
+    # allocation the size of the flag
+    with pytest.raises(WrongColumnCount, match="expected 1000000000000"):
+        parse(text, expected_assets=10**12)
+
+
 def test_parse_malformed_row():
     with pytest.raises(MalformedRow):
         parse_ff_file("200001 1.0 oops\n", expected_assets=2)
