@@ -16,8 +16,11 @@ tau at once. The path is computed in two stages:
      is the minimax tau_0 = 2 min_lam max_i |R^T y + A^T lam|_i (the LARS
      start 2 ||R^T y||_inf when there are no constraints); a point that is
      optimal down to tau = 0 gets the knee 0. Both programs are solved by
-     one revised simplex. The start's working set is every boundary index
-     and every index carrying weight.
+     one revised simplex. START sits at max(tau_0, tau_stop): above the
+     knee the weights stay and the multipliers move along the dual of the
+     face program, so a path asked to stop above its knee is the one START
+     at tau_stop. The start's working set is every index on the boundary at
+     START's tau and every index carrying weight.
   2. Ordinary continuation in real arithmetic on the Lagrangian optimality
      system from tau_0 down to tau_stop, moving weights and multipliers
      jointly and recording a breakpoint at every support change. Segments
@@ -48,6 +51,7 @@ from a single loop. `solve_constrained_path` collects them all,
 generator pulls them as its readers need them, and with no constraint rows
 the same loop traces the unconstrained path, which `solve_path` returns as
 it is. Every breakpoint is a `PathBreakpoint` whose multipliers have length m.
+A path solved with tau_stop is the prefix of the full path down to tau_stop.
 
 Penalty weights are handled by column rescaling; reported weights are in
 original coordinates while multipliers are invariant under the rescaling.
@@ -73,7 +77,6 @@ from .path_unconstrained import (
     PathBreakpoint,
     PenalizedProblem,
     SolutionPath,
-    initial_tau,
 )
 
 __all__ = [
@@ -321,9 +324,11 @@ def _l1_face(Ah, a):
     indices, which every point of the face keeps at zero.
 
     Returns:
-        Tuple ``(face, signs, x)``: sorted array of face indices, the sign
-        each face weight must carry, and the basic point of the face as
-        nonnegative magnitudes (``Ah[:, face] @ (signs * x) = a``).
+        Tuple ``(face, signs, x, theta)``: sorted array of face indices, the
+        sign each face weight must carry, the basic point of the face as
+        nonnegative magnitudes (``Ah[:, face] @ (signs * x) = a``), and the
+        optimal dual the face was read at (``Ah[:, face].T @ theta = signs``,
+        ``|Ah.T @ theta| <= 1``).
     """
     rel = 1e-9
     basis, bsigns, xb, theta = _l1_program(Ah, a)
@@ -341,7 +346,7 @@ def _l1_face(Ah, a):
         raise SolverError("start face misses the basic support")
     x = np.zeros(face.size)
     x[np.searchsorted(face, basis[support])] = xb[support]
-    return face, np.sign(g[face]), x
+    return face, np.sign(g[face]), x, theta
 
 
 def _free_directions(M):
@@ -476,25 +481,30 @@ def _certify_knee(Rh, y, Ah, a, w):
 
 
 def _initial_state(G, Rh, y, Ah, a, counts):
-    """Start route, weights, multipliers, tau_0 and the off-support indices
-    tight at tau_0, in the penalty-rescaled problem.
+    """Start route, weights, multipliers, tau_0, the off-support indices
+    tight at tau_0 and theta, in the penalty-rescaled problem.
 
     Takes the path's bordered matrix G and the arrays of `_prepare`. A zero
     (or absent) right-hand side starts at w = 0 (route "empty"); otherwise
     at the least-squares point of the l1-minimal face of the constraints
     (route "face"), found by `_face_lsq` on G. Either point is then
     certified as the path top by `_certify_knee`, whose multiplier line
-    keeps it stationary above the knee tau_0.
+    keeps it stationary above the knee tau_0. theta is the face program's
+    dual, zero on the empty route: A^T theta is sign(w) on the support and
+    within [-1, 1] elsewhere, so lam + (t/2) theta keeps the point
+    stationary at tau_0 + t.
     """
+    theta = np.zeros(Ah.shape[0])
     if float(np.max(np.abs(Ah.T @ a), initial=0.0)) <= 1e-300:
         route, w = "empty", np.zeros(Rh.shape[1])
     else:
-        route, w = "face", _face_lsq(G, Rh, y, Ah, a, *_l1_face(Ah, a), counts)
+        face, signs, x, theta = _l1_face(Ah, a)
+        route, w = "face", _face_lsq(G, Rh, y, Ah, a, face, signs, x, counts)
     cert = _certify_knee(Rh, y, Ah, a, w)
     if cert is None:
         raise SolverError("start point could not be certified as path top")
     tau0, lam, tight = cert
-    return route, w, lam, tau0, tight
+    return route, w, lam, tau0, tight, theta
 
 
 def _sorted_tuple(indices) -> tuple:
@@ -695,7 +705,8 @@ def _breakpoints(problem, constraints, max_active=None):
     engine builds a `PathBreakpoint`.
 
     Runs `_prepare`, builds the bordered matrix G once (for the face sweep
-    and every direction solve) and places the start by `_initial_state`.
+    and every direction solve) and places the start by `_initial_state`,
+    moved up to tau_stop when the knee lies below it.
     Each pass of its loop then validates the direction on the working set
     (unless the path has reached tau_stop), names the event, checks the
     non-members (every breakpoint but START), yields the breakpoint, and
@@ -710,9 +721,16 @@ def _breakpoints(problem, constraints, max_active=None):
     n = Rh.shape[1]
     # one Gram copy per path: R^T R is read as G[:n, :n] throughout
     G = _bordered_matrix(Rh.T @ Rh, Ah)
-    route, w, lam, tau, tight = _initial_state(G, Rh, y, Ah, a, counts)
+    route, w, lam, tau, tight, theta = _initial_state(G, Rh, y, Ah, a, counts)
     tau_stop = problem.tau_stop
+    if tau < tau_stop:
+        # the path is constant above the knee: START moves up to tau_stop,
+        # where the knee's tight indices no longer count
+        lam = lam + (tau_stop - tau) / 2.0 * theta
+        tau, tight = tau_stop, tight[:0]
     b = Rh.T @ (y - Rh @ w) + Ah.T @ lam
+    if not (math.isfinite(tau) and np.isfinite(b).all()):
+        raise SolverError("path start is not finite: the data overflow")
     ztol = ZERO_TIE_REL * max(1.0, float(np.max(np.abs(b), initial=0.0)), tau)
     # members: every boundary index plus every index carrying weight; the
     # knee certificate's tight indices count as boundary whatever rounding
@@ -786,16 +804,19 @@ def _breakpoints(problem, constraints, max_active=None):
 
 
 def find_constrained_start(problem, constraints):
-    """First breakpoint of the constrained path and its penalty level tau_0.
+    """First breakpoint of the constrained path and its penalty level
+    max(tau_0, tau_stop).
 
     The returned weights minimize the constrained objective for every
     tau >= tau_0 (the path is constant up there). With a nonzero
     right-hand side they are the least-squares point of the l1-minimal face
     of the constraints, and the multipliers are those of the certificate
     that pins tau_0; with a zero right-hand side the weights are zero and
-    the multipliers minimize max_i |R^T y + A^T lam|_i. It is the START
-    breakpoint of `solve_constrained_path`, working set and all: the first
-    breakpoint of the same generator, which then stops.
+    the multipliers minimize max_i |R^T y + A^T lam|_i. When tau_stop lies
+    above tau_0 the breakpoint sits at tau_stop, with the multipliers that
+    certify the weights there. It is the START breakpoint of
+    `solve_constrained_path`, working set and all: the first breakpoint of
+    the same generator, which then stops.
 
     Args:
         problem: data term and penalty weights.
@@ -810,36 +831,36 @@ def find_constrained_start(problem, constraints):
 
 
 def solve_constrained_path(problem, constraints, max_active=None):
-    """Every breakpoint of the constrained path from tau_0 down to tau_stop.
+    """Every breakpoint of the constrained path from max(tau_0, tau_stop)
+    down to tau_stop.
 
     Weights and multipliers are both piecewise linear in tau between the
     returned breakpoints; segments where only the multipliers move are
-    recorded like any other breakpoint. Set max_active to end the path early
-    at the first breakpoint whose working set reaches that size; the
-    breakpoints up to it are those of the full path.
+    recorded like any other breakpoint. The path is the full path's prefix
+    down to tau_stop: its breakpoints above tau_stop are the full path's,
+    and it ends at tau_stop, with START alone when tau_stop is at or above
+    the knee tau_0. Set max_active to end the path early at the first
+    breakpoint whose working set reaches that size; the breakpoints up to
+    it are those of the full path.
 
     Raises:
         SingularActiveSystem: a direction system is inconsistent.
-        SolverError: the start could not be built, a breakpoint leaves a
-            non-member beyond the boundary, or the breakpoint budget ran out.
+        SolverError: the start could not be built or is not finite (data
+            beyond double precision), a breakpoint leaves a non-member
+            beyond the boundary, or the breakpoint budget ran out.
     """
     return SolutionPath(tuple(_breakpoints(problem, constraints, max_active)))
 
 
 def solve_path(problem):
-    """Every breakpoint of the unconstrained path, from tau_0 to tau_stop.
+    """Every breakpoint of the unconstrained path, from max(tau_0, tau_stop)
+    down to tau_stop.
 
-    The continuation engine run with no constraint rows: every breakpoint
-    carries length-0 multipliers. The first breakpoint has zero weights at
-    tau = initial_tau(problem); the last sits at tau_stop (event STOP).
-    When zero is already optimal at tau_stop (in particular for y = 0) the
-    path is one START breakpoint at tau_stop with an empty active set.
+    `solve_constrained_path` with no constraint rows, so the same prefix
+    rule holds, and every breakpoint carries length-0 multipliers. The
+    path starts at tau_0 = initial_tau(problem) with zero weights and ends
+    at tau_stop; when zero is optimal at tau_stop (tau_0 <= tau_stop) it is
+    the one START breakpoint at tau_stop.
     """
-    none = AffineConstraints(np.zeros((0, problem.n_assets)), np.zeros(0))
-    if initial_tau(problem) <= problem.tau_stop:
-        c = problem.scaled_design().T @ problem.target
-        only = PathBreakpoint(tau=problem.tau_stop, weights=np.zeros(len(c)),
-                              generalized_residual=c, active_set=(),
-                              event=Event("START"))
-        return SolutionPath((only,))
-    return solve_constrained_path(problem, none)
+    return solve_constrained_path(
+        problem, AffineConstraints(np.zeros((0, problem.n_assets)), np.zeros(0)))

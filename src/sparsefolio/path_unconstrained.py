@@ -248,5 +248,13 @@ def eval_at(path: SolutionPath, tau: float) -> np.ndarray:
 
 
 def multipliers_at(path: SolutionPath, tau: float) -> np.ndarray:
-    """Multipliers at any tau on or above the path, read as eval_at reads weights."""
+    """Multipliers at any tau on or above the path, read as eval_at reads weights.
+
+    Above the START they are the START's multipliers, which certify the
+    weights only at the START's tau: the multipliers that keep the start
+    optimal grow with tau. On eye(2) with y = (3, 1) under w_1 + w_2 = 1,
+    START sits at tau = 1 and its multiplier gives b = (0.5, -0.5) at
+    tau = 50, where +-25 is needed. For certified multipliers at a tau above
+    the START, solve the path with that tau as tau_stop.
+    """
     return _interpolate(path, tau)[1]

@@ -642,7 +642,8 @@ def reference_next_event(tau, tau_stop, b, v, w, J, uJ, sign, ztol):
 
 def reference_continuation(problem, constraints):
     """Breakpoints of the path from the engine's start, continued by the
-    reference step.
+    reference step. The START is read at the knee tau_0, so tau_stop must
+    lie below it.
 
     Returns a list of (tau, weights, generalized residual, active set,
     event, multipliers) tuples in the engine's units, or raises what the
@@ -651,7 +652,7 @@ def reference_continuation(problem, constraints):
     Rh, y, Ah, a, s = path_constrained._prepare(problem, constraints)
     RtR = Rh.T @ Rh
     G = path_constrained._bordered_matrix(RtR, Ah)
-    _, w, lam, tau0, tight = path_constrained._initial_state(
+    _, w, lam, tau0, tight, _ = path_constrained._initial_state(
         G, Rh, y, Ah, a, {"face_solves": 0, "face_fallbacks": 0})
     N = Rh.shape[1]
     tau_stop = problem.tau_stop

@@ -66,7 +66,7 @@ def face_instance(kind, seed):
 def test_face_sweep_matches_reference(kind, seed):
     problem, constraints = face_instance(kind, seed)
     Rh, y, Ah, a, _ = path_constrained._prepare(problem, constraints)
-    face, signs, x = path_constrained._l1_face(Ah, a)
+    face, signs, x, _ = path_constrained._l1_face(Ah, a)
     G = path_constrained._bordered_matrix(Rh.T @ Rh, Ah)
     counts = Counter()
     w = path_constrained._face_lsq(G, Rh, y, Ah, a, face, signs, x, counts)

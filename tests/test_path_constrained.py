@@ -1,9 +1,12 @@
 """Equality-constrained path: start portfolio, continuation, certificates."""
 
+import dataclasses
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparsefolio.path_constrained as path_constrained
 from sparsefolio import (
@@ -13,6 +16,7 @@ from sparsefolio import (
     PenalizedProblem,
     SolverError,
     TauBelowStop,
+    eval_at,
     find_constrained_start,
     multipliers_at,
     solve_constrained_path,
@@ -392,6 +396,53 @@ def test_multipliers_below_terminus_raise():
         multipliers_at(path, 0.2)
 
 
+def _same_breakpoint(bp, ref):
+    assert bp.tau == ref.tau
+    assert bp.active_set == ref.active_set
+    assert bp.event == ref.event
+    for name in ("weights", "generalized_residual", "multipliers"):
+        assert getattr(bp, name).tobytes() == getattr(ref, name).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(("random", "markowitz")), seed=st.integers(0, 399),
+       factor=st.sampled_from((0.1, 0.5, 0.9, 1.0, 1.5, 4.0, 100.0)))
+def test_tau_stop_path_is_prefix_of_full_path(kind, seed, factor):
+    if kind == "random":
+        problem, constraints = random_instance(seed, m_choices=(0, 1, 2, 3))
+    else:
+        problem, constraints = markowitz_instance(seed)
+    full = solve_constrained_path(problem, constraints)
+    start = full.breakpoints[0]
+    tau_stop = factor * start.tau
+    stopped = dataclasses.replace(problem, tau_stop=tau_stop)
+    path = solve_constrained_path(stopped, constraints)
+    bps = path.breakpoints
+    if factor < 1.0:
+        assert len(bps) <= len(full.breakpoints)
+        for bp, ref in zip(bps[:-1], full.breakpoints):
+            _same_breakpoint(bp, ref)
+        np.testing.assert_allclose(
+            bps[-1].weights, eval_at(full, bps[-1].tau), rtol=0,
+            atol=1e-9 * max(1.0, float(np.abs(start.weights).max())))
+    else:
+        (bp,) = bps
+        assert bp.event.kind == "START"
+        assert bp.tau == tau_stop
+        assert bp.weights.tobytes() == start.weights.tobytes()
+        assert certificate_violation(stopped, bp) <= 1e-9 * max(1.0, tau_stop)
+        np.testing.assert_allclose(constraints.matrix @ bp.weights,
+                                   constraints.rhs, rtol=0, atol=1e-10)
+    if tau_stop > 0.0:
+        with pytest.raises(TauBelowStop):
+            eval_at(path, 0.5 * tau_stop)
+    ours = solve_path(stopped).breakpoints
+    ref = solve_constrained_path(stopped, no_constraints(problem.n_assets)).breakpoints
+    assert len(ours) == len(ref)
+    for bp, r in zip(ours, ref):
+        _same_breakpoint(bp, r)
+
+
 def test_stationarity_holds_between_breakpoints():
     # the certificate is linear in tau, so it must hold at interpolated
     # points too, with the interpolated multipliers
@@ -479,11 +530,13 @@ def test_engine_logs_one_debug_record_per_path(caplog):
     solve_constrained_path(
         PenalizedProblem(design=np.eye(3), target=np.array([1.0, 2.0, 3.0])),
         AffineConstraints(matrix=np.ones((1, 3)), rhs=np.array([1.0])))
-    # a path cut short by max_active logs when it ends; the start alone
-    # logs nothing
+    # a path cut short by max_active logs when it ends, and so does one that
+    # ends at its START; the start alone logs nothing
     solve_constrained_path(
         PenalizedProblem(design=np.eye(3), target=np.array([3.0, 2.0, 1.0])),
         no_constraints(3), max_active=2)
+    solve_path(PenalizedProblem(design=np.eye(2), target=np.array([3.0, 1.0]),
+                                tau_stop=50.0))
     find_constrained_start(
         PenalizedProblem(design=np.eye(3), target=np.array([3.0, 2.0, 1.0])),
         no_constraints(3))
@@ -502,6 +555,9 @@ def test_engine_logs_one_debug_record_per_path(caplog):
         "start: empty route, 0 face solves, 0 face least-squares fallbacks; "
         "continuation: 2 breakpoints, 2 direction solves "
         "(1 inverse updates, 1 re-seeds), 0 least-squares fallbacks",
+        "start: empty route, 0 face solves, 0 face least-squares fallbacks; "
+        "continuation: 1 breakpoints, 0 direction solves "
+        "(0 inverse updates, 0 re-seeds), 0 least-squares fallbacks",
     ]
 
 

@@ -82,13 +82,14 @@ def test_identity_breakpoints():
 
 
 def test_zero_target_single_breakpoint():
+    # every residual is 0 = tau/2, so every index is on the boundary
     p = PenalizedProblem(design=np.eye(3), target=np.zeros(3))
     path = solve_path(p)
     assert len(path.breakpoints) == 1
     bp = path.breakpoints[0]
     assert bp.tau == 0.0
-    assert bp.active_set == ()
-    assert bp.event == Event("START")
+    assert bp.active_set == (0, 1, 2)
+    assert bp.event == Event("START", entered=(0, 1, 2))
     assert np.all(bp.weights == 0.0)
 
 
@@ -106,14 +107,29 @@ def test_identity_tie_enters_together():
 
 @pytest.mark.parametrize("tau_stop", [6.0, 7.5])
 def test_stop_at_or_above_tau0_is_one_empty_start(tau_stop):
+    # at tau_stop = tau_0 = 6 index 0 sits on the boundary, as on the full
+    # path's START; above tau_0 nobody does
     p = PenalizedProblem(design=np.eye(3), target=np.array([3.0, 1.0, 0.0]),
                          tau_stop=tau_stop)
     (bp,) = solve_path(p).breakpoints
+    boundary = (0,) if tau_stop == 6.0 else ()
     assert bp.tau == tau_stop
-    assert bp.active_set == ()
-    assert bp.event == Event("START")
+    assert bp.active_set == boundary
+    assert bp.event == Event("START", entered=boundary)
     assert np.all(bp.weights == 0.0)
     np.testing.assert_array_equal(bp.generalized_residual, [3.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e160, 1e200])
+def test_overflowing_data_raise_solver_error(scale):
+    # R^T R overflows, and so do START's tau and residual
+    rng = np.random.default_rng(0)
+    R = rng.standard_normal((12, 5))
+    y = rng.standard_normal(12)
+    with np.errstate(all="ignore"):
+        problem = PenalizedProblem(design=scale * R, target=scale * y)
+        with pytest.raises(SolverError, match="not finite"):
+            solve_path(problem)
 
 
 def test_endpoint_is_least_squares():

@@ -19,3 +19,7 @@ def test_readme_library_tour_runs():
     assert len(cpath.breakpoints[0].multipliers) == 1
     np.testing.assert_allclose(cpath.breakpoints[0].multipliers, [-1.5],
                                rtol=0, atol=1e-12)
+    top = names["top"]
+    assert [bp.tau for bp in top.breakpoints] == [50.0]
+    np.testing.assert_allclose(top.breakpoints[0].multipliers, [23.0],
+                               rtol=0, atol=1e-12)

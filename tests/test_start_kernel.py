@@ -73,10 +73,13 @@ def minimax_instance(seed, n, m, kind):
        m=st.integers(1, 2), kind=st.sampled_from(KINDS))
 def test_face_matches_vertex_enumeration(seed, n, m, kind):
     Ah, a = face_instance(seed, n, m, kind)
-    face, signs, x = _l1_face(Ah, a)
+    face, signs, x, theta = _l1_face(Ah, a)
     ref_face, ref_signs = enum_l1_face(Ah, a)
     np.testing.assert_array_equal(face, ref_face)
     np.testing.assert_array_equal(signs, ref_signs)
+    # the dual the face was read at: tight on the face, feasible elsewhere
+    np.testing.assert_allclose(Ah[:, face].T @ theta, signs, rtol=0, atol=1e-9)
+    assert np.abs(Ah.T @ theta).max() <= 1.0 + 1e-9
     # the returned point satisfies the constraints on the face, where every
     # feasible point attains the l1 minimum
     assert np.all(x >= 0.0)
