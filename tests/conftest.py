@@ -57,9 +57,19 @@ def random_instance(seed, n_max=8, t_max=12, m_choices=(0, 1, 2),
     return problem, constraints
 
 
-def certificate_violation(problem, bp):
-    """Worst stationarity violation at a breakpoint, active or not."""
-    b = bp.generalized_residual
+def certificate_violation(problem, bp, constraints=None):
+    """Worst stationarity violation at a breakpoint, active or not.
+
+    The residual b = (R^T (y - R w) + A^T lam) / s is recomputed from the
+    problem data, the breakpoint's weights and multipliers, and the
+    constraint rows (none when constraints is None), so the check never
+    rests on the residual the engine reports.
+    """
+    w = bp.weights
+    b = problem.design.T @ (problem.target - problem.design @ w)
+    if constraints is not None and constraints.n_constraints:
+        b = b + constraints.matrix.T @ bp.multipliers
+    b = b / problem.penalty_weights
     half = bp.tau / 2.0
     on = max((abs(abs(b[i]) - half) for i in bp.active_set), default=0.0)
     off = [i for i in range(problem.n_assets) if i not in bp.active_set]

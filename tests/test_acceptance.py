@@ -81,7 +81,7 @@ def test_criterion_1_path_exactness():
 def test_criterion_2_kkt_certificates():
     for _, (problem, cons, path) in sorted(sampled_paths().items()):
         for bp in path.breakpoints:
-            assert certificate_violation(problem, bp) <= 1e-9
+            assert certificate_violation(problem, bp, cons) <= 1e-9
             if cons.n_constraints:
                 resid = np.max(np.abs(cons.matrix @ bp.weights - cons.rhs))
                 assert resid <= 1e-10

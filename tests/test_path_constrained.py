@@ -203,7 +203,7 @@ def test_target_at_edge_of_mean_span(seed):
     path = solve_constrained_path(problem, cons)
     tau0 = path.breakpoints[0].tau
     for bp in path.breakpoints:
-        assert certificate_violation(problem, bp) <= 1e-9 * max(1.0, tau0)
+        assert certificate_violation(problem, bp, cons) <= 1e-9 * max(1.0, tau0)
     rng = np.random.default_rng(seed)
     taus = np.concatenate([rng.uniform(0.0, tau0, size=8), [1.5 * tau0]])
     ties = oracle_sign_enumeration_many(problem, cons, taus, return_ties=True)
@@ -248,7 +248,7 @@ def test_random_paths_certified(seed, shape):
     scale = max(1.0, path.breakpoints[0].tau)
     A, a = constraints.matrix, constraints.rhs
     for bp in path.breakpoints:
-        assert certificate_violation(problem, bp) <= 1e-9 * scale
+        assert certificate_violation(problem, bp, constraints) <= 1e-9 * scale
         if constraints.n_constraints:
             resid = np.max(np.abs(A @ bp.weights - a))
             assert resid <= 1e-10 * max(1.0, np.max(np.abs(a)))
@@ -267,10 +267,11 @@ def test_zero_rhs_start_with_ill_conditioned_rows():
         A = U @ np.diag(np.geomspace(1.0, 1e-5, m)) @ Vt
         problem = PenalizedProblem(design=rng.standard_normal((10, n)),
                                    target=rng.standard_normal(10))
-        path = solve_constrained_path(problem, AffineConstraints(A, np.zeros(m)))
+        constraints = AffineConstraints(A, np.zeros(m))
+        path = solve_constrained_path(problem, constraints)
         scale = max(1.0, path.breakpoints[0].tau)
         for bp in path.breakpoints:
-            assert certificate_violation(problem, bp) <= 1e-9 * scale
+            assert certificate_violation(problem, bp, constraints) <= 1e-9 * scale
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -430,7 +431,8 @@ def test_tau_stop_path_is_prefix_of_full_path(kind, seed, factor):
         assert bp.event.kind == "START"
         assert bp.tau == tau_stop
         assert bp.weights.tobytes() == start.weights.tobytes()
-        assert certificate_violation(stopped, bp) <= 1e-9 * max(1.0, tau_stop)
+        assert (certificate_violation(stopped, bp, constraints)
+                <= 1e-9 * max(1.0, tau_stop))
         np.testing.assert_allclose(constraints.matrix @ bp.weights,
                                    constraints.rhs, rtol=0, atol=1e-10)
     if tau_stop > 0.0:

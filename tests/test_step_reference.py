@@ -210,8 +210,8 @@ def assert_same_path(problem, constraints):
     for bp, (tau, w, b, active, event, lam) in zip(path.breakpoints, ref):
         ref_bp = PathBreakpoint(tau=tau, weights=w, generalized_residual=b,
                                 active_set=active, event=event, multipliers=lam)
-        assert (certificate_violation(problem, bp)
-                <= max(1e-9, certificate_violation(problem, ref_bp)))
+        assert (certificate_violation(problem, bp, constraints)
+                <= max(1e-9, certificate_violation(problem, ref_bp, constraints)))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
