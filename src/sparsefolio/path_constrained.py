@@ -42,7 +42,10 @@ tau at once. The path is computed in two stages:
      then leaving indices in working-set order. The working set is an
      index array in a fixed order, survivors first in their order and then
      the entering indices; that order fixes the layout of every direction
-     system.
+     system. A step of gamma moves the residual
+     b = R^T (y - R w) + A^T lam by -gamma v, so b is carried along the
+     path in O(N) per breakpoint; it is recomputed from the data, in
+     O(TN), only at START and after a step on a gathered direction.
 
 This is the package's one continuation engine, and one generator,
 `_breakpoints`, runs it: it yields the START breakpoint and every later one
@@ -537,9 +540,10 @@ def _validated_real(G, J, sign, entered, ztol, counts, inverse):
     counts tallies direction solves, least-squares fallbacks, solves by the
     carried inverse ("updates") and re-seeds.
 
-    Returns ``(u_J, s, J, v, inverse)``: v is the first N rows of G @ z, the
-    velocity of the residual b along the direction, or None after a
-    gathered solve; inverse is the state for the next call.
+    Returns ``(u_J, s, J, v, inverse)``: v is the first N rows of G @ z,
+    R^T R u - A^T s, so that a step of gamma along the direction moves the
+    residual b by -gamma v; or None after a gathered solve. inverse is the
+    state for the next call.
     """
     n = len(sign)
     m = G.shape[0] - n
@@ -664,7 +668,7 @@ def _carry_inverse(G, M, prev, kept, rows):
 def _next_event(tau, tau_stop, b, v, w, J, uJ, sign, ztol):
     """Ratio test: the step to the next breakpoint and who meets it there.
 
-    Along the direction, a non-member i enters when b_i + gamma v_i reaches
+    Along the direction, a non-member i enters when b_i - gamma v_i reaches
     +-(tau/2 - gamma), and a member leaves when its weight reaches zero. The
     candidates are stacked in one array, enter-up and enter-down over every
     index, then leave over J, and take one division and one minimum.
@@ -716,8 +720,11 @@ def _breakpoints(problem, constraints, max_active=None):
     ends the path at tau_stop, past the breakpoint budget (SolverError) or
     once the working set reaches max_active; otherwise the ratio test finds
     the next breakpoint and the weights, multipliers and residual step to
-    it. A path that ends logs one DEBUG record of its counts; one abandoned
-    early, as `find_constrained_start` does, logs none.
+    it. The residual steps by its velocity, except after a gathered
+    direction solve, where it is recomputed from the data as at START. A
+    path that ends logs one DEBUG record of its counts, full residual
+    recomputes among them; one abandoned early, as
+    `find_constrained_start` does, logs none.
     """
     counts = Counter()
     Rh, y, Ah, a, s = _prepare(problem, constraints)
@@ -732,6 +739,7 @@ def _breakpoints(problem, constraints, max_active=None):
         lam = lam + (tau_stop - tau) / 2.0 * theta
         tau, tight = tau_stop, tight[:0]
     b = Rh.T @ (y - Rh @ w) + Ah.T @ lam
+    counts["residuals"] += 1
     if not (math.isfinite(tau) and np.isfinite(b).all()):
         raise SolverError("path start is not finite: the data overflow")
     ztol = ZERO_TIE_REL * max(1.0, float(np.max(np.abs(b), initial=0.0)), tau)
@@ -776,7 +784,8 @@ def _breakpoints(problem, constraints, max_active=None):
             break
         u = np.zeros(len(w))
         u[J] = uJ
-        if v is None:
+        gathered = v is None
+        if gathered:
             # a gathered solve: the velocity in the reference step's form
             # (tests/oracles.py), so that the singular and ill-conditioned
             # systems that take that route round alike
@@ -797,13 +806,20 @@ def _breakpoints(problem, constraints, max_active=None):
             J = np.concatenate((J, enter))
             sign[enter] = enter_sign
             entered[enter] = True
-        b = Rh.T @ (y - Rh @ w) + Ah.T @ lam
+        if gathered:
+            b = Rh.T @ (y - Rh @ w) + Ah.T @ lam
+            counts["residuals"] += 1
+        else:
+            # w and lam moved by gamma (u, s), so b moved by -gamma v; a new
+            # array, since the breakpoint just yielded holds the old one
+            b = b - gamma * v
     log.debug("start: %s route, %d face solves, %d face least-squares fallbacks; "
               "continuation: %d breakpoints, %d direction solves "
-              "(%d inverse updates, %d re-seeds), %d least-squares fallbacks",
+              "(%d inverse updates, %d re-seeds), %d least-squares fallbacks, "
+              "%d full residual recomputes",
               route, counts["face_solves"], counts["face_fallbacks"],
               count, counts["solves"], counts["updates"], counts["reseeds"],
-              counts["fallbacks"])
+              counts["fallbacks"], counts["residuals"])
 
 
 def find_constrained_start(problem, constraints):

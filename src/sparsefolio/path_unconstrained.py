@@ -137,7 +137,9 @@ class PathBreakpoint:
         weights: minimizer at tau, with exact zeros off the active set.
         generalized_residual: b = R^T(y - R w) + A^T lam of the
             penalty-rescaled problem, which sits at +-tau/2 on the active set
-            and within [-tau/2, tau/2] elsewhere.
+            and within [-tau/2, tau/2] elsewhere. The engine carries it
+            along the path by its velocity, so it equals that formula up to
+            rounding.
         active_set: the sorted working set J: the boundary indices, which
             include a just-entered index whose weight is still zero here.
         event: what happened at this breakpoint (START/ENTER/LEAVE/STOP).

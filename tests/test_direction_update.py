@@ -1,13 +1,19 @@
-"""The direction solve by the carried working-set inverse.
+"""The direction solve by the carried working-set inverse, and the
+residual carried by its velocity.
 
 Between breakpoints the engine carries the inverse of the last direction
 system to the next working set (a Schur downdate per leaving index, a
 bordering per entering one) instead of gathering and LU-factoring the
 system afresh. Along a long path the carried solutions must not drift from
 fresh solves, and a pivot that is exactly zero must send the step to the
-gathered LU without a floating-point warning.
+gathered LU without a floating-point warning. The residual b steps by
+-gamma v instead of being recomputed from the data; it must stay within
+rounding of the recompute, every breakpoint must keep its own b, and b is
+recomputed only at START and after each step on a gathered direction.
 """
 
+import logging
+import re
 import warnings
 from collections import Counter
 
@@ -92,3 +98,49 @@ def test_exact_zero_pivot_takes_the_gathered_route(monkeypatch):
     assert path_constrained._carry_inverse(G, M, prev, np.array([True]), J) is None
     # so the step gathers its (singular) system: no update, one fallback
     assert counts["updates"] == 0 and counts["fallbacks"] == 1
+
+
+def recomputed_residual(problem, constraints, bp):
+    """b = R^T (y - R w) + A^T lam of the penalty-rescaled problem."""
+    R, s = problem.design, problem.penalty_weights
+    return (R.T @ (problem.target - R @ bp.weights)
+            + constraints.matrix.T @ bp.multipliers) / s
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_carried_residual_matches_recompute_along_a_long_path(m):
+    problem, constraints = long_path_instance(m)
+    path = solve_constrained_path(problem, constraints)
+    assert len(path.breakpoints) >= 100
+    R, s = problem.design, problem.penalty_weights
+    scale = max(1.0, float(np.abs((R / s).T @ problem.target).max()))
+    for bp in path.breakpoints:
+        gap = np.abs(bp.generalized_residual
+                     - recomputed_residual(problem, constraints, bp)).max()
+        assert gap <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_breakpoints_keep_their_residual_as_the_path_goes_on(m):
+    # the carried residual is rebound at every step, never updated in place:
+    # a breakpoint's b reads the same after the rest of the path is pulled
+    breakpoints = path_constrained._breakpoints(*long_path_instance(m))
+    pulled = [(bp, bp.generalized_residual.tobytes()) for bp in breakpoints]
+    assert len(pulled) >= 100
+    for bp, residual in pulled:
+        assert bp.generalized_residual.tobytes() == residual
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_full_residual_recomputes_are_start_and_gathered_steps(monkeypatch, caplog, m):
+    caplog.set_level(logging.DEBUG, logger="sparsefolio.path_constrained")
+    calls = recording(monkeypatch)
+    path = solve_constrained_path(*long_path_instance(m))
+    # every validation here leads to a step: the path ends at tau_stop,
+    # whose breakpoint is not validated; a gathered solve returns v = None
+    gathered = sum(out[3] is None for _, out, _ in calls)
+    (message,) = [r.getMessage() for r in caplog.records
+                  if r.name == "sparsefolio.path_constrained"]
+    recomputes = int(re.search(r"(\d+) full residual recomputes", message)[1])
+    assert recomputes == 1 + gathered
+    assert recomputes < len(path.breakpoints) // 10

@@ -547,19 +547,24 @@ def test_engine_logs_one_debug_record_per_path(caplog):
     assert messages == [
         "start: empty route, 0 face solves, 0 face least-squares fallbacks; "
         "continuation: 3 breakpoints, 2 direction solves "
-        "(1 inverse updates, 1 re-seeds), 0 least-squares fallbacks",
+        "(1 inverse updates, 1 re-seeds), 0 least-squares fallbacks, "
+        "2 full residual recomputes",
         "start: empty route, 0 face solves, 0 face least-squares fallbacks; "
         "continuation: 4 breakpoints, 3 direction solves "
-        "(0 inverse updates, 1 re-seeds), 2 least-squares fallbacks",
+        "(0 inverse updates, 1 re-seeds), 2 least-squares fallbacks, "
+        "4 full residual recomputes",
         "start: face route, 3 face solves, 0 face least-squares fallbacks; "
         "continuation: 2 breakpoints, 1 direction solves "
-        "(0 inverse updates, 1 re-seeds), 0 least-squares fallbacks",
+        "(0 inverse updates, 1 re-seeds), 0 least-squares fallbacks, "
+        "2 full residual recomputes",
         "start: empty route, 0 face solves, 0 face least-squares fallbacks; "
         "continuation: 2 breakpoints, 2 direction solves "
-        "(1 inverse updates, 1 re-seeds), 0 least-squares fallbacks",
+        "(1 inverse updates, 1 re-seeds), 0 least-squares fallbacks, "
+        "2 full residual recomputes",
         "start: empty route, 0 face solves, 0 face least-squares fallbacks; "
         "continuation: 1 breakpoints, 0 direction solves "
-        "(0 inverse updates, 0 re-seeds), 0 least-squares fallbacks",
+        "(0 inverse updates, 0 re-seeds), 0 least-squares fallbacks, "
+        "1 full residual recomputes",
     ]
 
 
