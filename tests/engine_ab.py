@@ -17,9 +17,9 @@ and without their constraint rows), the breakpoint counts, active sets and
 events, and the largest tau and weight difference, each relative to its
 largest magnitude along the path.
 
-Pairing within one process resolves differences of a few percent that
-separate harness runs, which vary by tens of percent on a shared host,
-cannot.
+BLAS runs on one thread, as in perfbench/run.py. Pairing within one
+process resolves differences of a few percent that separate harness runs,
+which vary by tens of percent on a shared host, cannot.
 
 This file is a script, not a test module; pytest does not collect it.
 """
@@ -32,6 +32,11 @@ import os
 import sys
 import tempfile
 import time
+
+# one BLAS thread, set before numpy loads, as perfbench/run.py does
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.join(HERE, os.pardir)
@@ -89,11 +94,10 @@ def relative_gap(xs, ys) -> float:
 def compare(ours, theirs):
     """(structure agrees, tau gap, weight gap) of two paths."""
     a, b = ours.breakpoints, theirs.breakpoints
-    same = len(a) == len(b) and all(
-        p.active_set == q.active_set and repr(p.event) == repr(q.event)
-        for p, q in zip(a, b))
     if len(a) != len(b):
         return False, np.inf, np.inf
+    same = all(p.active_set == q.active_set and repr(p.event) == repr(q.event)
+               for p, q in zip(a, b))
     return (same, relative_gap([p.tau for p in a], [q.tau for q in b]),
             relative_gap([p.weights for p in a], [q.weights for q in b]))
 
