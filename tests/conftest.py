@@ -57,19 +57,26 @@ def random_instance(seed, n_max=8, t_max=12, m_choices=(0, 1, 2),
     return problem, constraints
 
 
+def recomputed_residual(problem, bp, constraints=None):
+    """b = (R^T (y - R w) + A^T lam) / s from the problem data, the
+    breakpoint's weights and multipliers, and the constraint rows, which a
+    breakpoint with multipliers must be given."""
+    R = problem.design
+    b = R.T @ (problem.target - R @ bp.weights)
+    if constraints is None:
+        assert not len(bp.multipliers), "pass the constraint rows"
+    else:
+        b = b + constraints.matrix.T @ bp.multipliers
+    return b / problem.penalty_weights
+
+
 def certificate_violation(problem, bp, constraints=None):
     """Worst stationarity violation at a breakpoint, active or not.
 
-    The residual b = (R^T (y - R w) + A^T lam) / s is recomputed from the
-    problem data, the breakpoint's weights and multipliers, and the
-    constraint rows (none when constraints is None), so the check never
-    rests on the residual the engine reports.
+    The residual is recomputed from the data (`recomputed_residual`), so
+    the check never rests on the residual the engine reports.
     """
-    w = bp.weights
-    b = problem.design.T @ (problem.target - problem.design @ w)
-    if constraints is not None and constraints.n_constraints:
-        b = b + constraints.matrix.T @ bp.multipliers
-    b = b / problem.penalty_weights
+    b = recomputed_residual(problem, bp, constraints)
     half = bp.tau / 2.0
     on = max((abs(abs(b[i]) - half) for i in bp.active_set), default=0.0)
     off = [i for i in range(problem.n_assets) if i not in bp.active_set]

@@ -23,7 +23,7 @@ import pytest
 import sparsefolio.path_constrained as path_constrained
 from sparsefolio import AffineConstraints, PenalizedProblem, solve_constrained_path
 
-from conftest import factor_panel, no_constraints
+from conftest import factor_panel, no_constraints, recomputed_residual
 
 
 def recording(monkeypatch):
@@ -100,13 +100,6 @@ def test_exact_zero_pivot_takes_the_gathered_route(monkeypatch):
     assert counts["updates"] == 0 and counts["fallbacks"] == 1
 
 
-def recomputed_residual(problem, constraints, bp):
-    """b = R^T (y - R w) + A^T lam of the penalty-rescaled problem."""
-    R, s = problem.design, problem.penalty_weights
-    return (R.T @ (problem.target - R @ bp.weights)
-            + constraints.matrix.T @ bp.multipliers) / s
-
-
 @pytest.mark.parametrize("m", [0, 2])
 def test_carried_residual_matches_recompute_along_a_long_path(m):
     problem, constraints = long_path_instance(m)
@@ -116,7 +109,7 @@ def test_carried_residual_matches_recompute_along_a_long_path(m):
     scale = max(1.0, float(np.abs((R / s).T @ problem.target).max()))
     for bp in path.breakpoints:
         gap = np.abs(bp.generalized_residual
-                     - recomputed_residual(problem, constraints, bp)).max()
+                     - recomputed_residual(problem, bp, constraints)).max()
         assert gap <= 1e-12 * scale
 
 
