@@ -633,8 +633,8 @@ def _add_index(G, M, rows, e):
         return None
     k = len(M)
     q /= pivot
-    # the rank-one term and M's add run on a contiguous array, about twice
-    # as fast as on the strided block of out; each entry is one rounded
+    # the rank-one term and M's add run on a contiguous array, where numpy
+    # is faster than on the strided block of out; each entry is one rounded
     # product, as a broadcast q[:, None] * p gives
     top = np.einsum("i,j->ij", q, p)
     top += M
