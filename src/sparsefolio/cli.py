@@ -137,11 +137,7 @@ def _require(args, name: str):
 # --- shared emitters ---
 
 def _event_dict(event) -> dict:
-    return {
-        "kind": event.kind,
-        "entered": [int(i) for i in event.entered],
-        "left": [int(i) for i in event.left],
-    }
+    return {"kind": event.kind, "entered": event.entered, "left": event.left}
 
 
 def _path_to_dict(path) -> dict:
@@ -150,7 +146,7 @@ def _path_to_dict(path) -> dict:
         row = {"tau": float(bp.tau), "weights": bp.weights}
         if len(bp.multipliers):
             row["multipliers"] = bp.multipliers
-        row["active_set"] = np.asarray(bp.active_set, dtype=np.int64)
+        row["active_set"] = bp.active_set
         row["event"] = _event_dict(bp.event)
         bps.append(row)
     return {"tau_0": float(path.breakpoints[0].tau), "breakpoints": bps}
@@ -193,13 +189,20 @@ def _frontier_csv(path, problem, per_period: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_path(path, args, stem: str = "path") -> None:
-    fmt = args.format or "json"
-    if fmt == "csv":
-        dest = _write_text(args.out, f"{stem}.csv", _path_to_csv(path))
+def _emit_path(path, args, problem=None, per_period: bool = False) -> None:
+    """Write the path file, then frontier.csv when problem is given.
+
+    Every file's text is built before the first one is written, so a
+    failure leaves no partial output.
+    """
+    if (args.format or "json") == "csv":
+        files = [("path.csv", _path_to_csv(path))]
     else:
-        dest = _write_text(args.out, f"{stem}.json", jsonio.dumps(_path_to_dict(path)))
-    print(f"wrote {dest}")
+        files = [("path.json", jsonio.dumps(_path_to_dict(path)))]
+    if problem is not None:
+        files.append(("frontier.csv", _frontier_csv(path, problem, per_period)))
+    for name, text in files:
+        print(f"wrote {_write_text(args.out, name, text)}")
 
 
 # --- commands ---
@@ -220,11 +223,9 @@ def _load_problem_doc(doc):
     block = doc.get("constraints")
     if block is not None and not isinstance(block, dict):
         raise InputError("constraints block must be a JSON object")
-    if not block:
-        return problem, None
-    matrix = _floats(block.get("matrix", []), "constraints matrix")
+    matrix = _floats((block or {}).get("matrix", []), "constraints matrix")
     if not matrix.size:
-        return problem, None
+        return problem, AffineConstraints(np.zeros((0, problem.n_assets)), np.zeros(0))
     if "rhs" not in block:
         raise InputError("constraints block missing 'rhs'")
     constraints = AffineConstraints(
@@ -236,11 +237,7 @@ def cmd_solve(args) -> int:
     doc = _read_json(_require(args, "problem"))
     problem, constraints = _load_problem_doc(doc)
     del doc
-    if constraints is None:
-        path = solve_path(problem)
-    else:
-        path = solve_constrained_path(problem, constraints)
-    _emit_path(path, args)
+    _emit_path(solve_constrained_path(problem, constraints), args)
     return 0
 
 
@@ -299,11 +296,7 @@ def cmd_track(args) -> int:
     spreads = (_floats(_read_json(args.spreads), "--spreads")
                if args.spreads is not None else np.ones(panel.n_assets))
     problem = build_tracking_problem(index, panel, spreads)
-    path = solve_path(problem)
-    _emit_path(path, args)
-    dest = _write_text(args.out, "frontier.csv",
-                       _frontier_csv(path, problem, per_period=True))
-    print(f"wrote {dest}")
+    _emit_path(solve_path(problem), args, problem, per_period=True)
     return 0
 
 
@@ -318,10 +311,7 @@ def cmd_hedge(args) -> int:
     scenario = HedgingScenario(**{key: _floats(doc[key], key) for key in fields})
     del doc
     problem = build_hedging_problem(scenario)
-    path = solve_path(problem)
-    _emit_path(path, args)
-    dest = _write_text(args.out, "frontier.csv", _frontier_csv(path, problem))
-    print(f"wrote {dest}")
+    _emit_path(solve_path(problem), args, problem)
     return 0
 
 
@@ -337,10 +327,7 @@ def cmd_adjust(args) -> int:
     spec = MarkowitzSpec(target_return=rho, training_panel=panel,
                          penalty_weights=spreads)
     problem, constraints = build_adjustment_problem(current, spec)
-    path = solve_portfolio_path(problem, constraints)
-    _emit_path(path, args)
-    dest = _write_text(args.out, "frontier.csv", _frontier_csv(path, problem))
-    print(f"wrote {dest}")
+    _emit_path(solve_portfolio_path(problem, constraints), args, problem)
     return 0
 
 

@@ -33,12 +33,12 @@ tau at once. The path is computed in two stages:
      bordering per entering one), solves by one product with it, and checks
      the solution by one product with G, whose first N rows are also the
      velocity of the ratio test. The path start, a tiny pivot, an
-     ill-conditioned system or a failed check instead gathers the system
-     from G and solves it by LU (min-norm least squares when that fails),
-     with the velocity R^T R u - A^T s; an LU solution re-seeds the
-     inverse. One ratio test then runs over
-     the stacked enter-up, enter-down and leave candidates: one division
-     and one minimum. Ties list entering indices by index, +1 before -1,
+     ill-conditioned system, a failed check or a validation drop instead
+     gathers the system from G and solves it by LU (min-norm least squares
+     when that fails), with the velocity R^T R u - A^T s; an LU solution
+     re-seeds the inverse. One ratio test then runs over the stacked
+     enter-up, enter-down and leave candidates: one division and one
+     minimum. Ties list entering indices by index, +1 before -1,
      then leaving indices in working-set order. The working set is an
      index array in a fixed order, survivors first in their order and then
      the entering indices; that order fixes the layout of every direction
@@ -529,14 +529,15 @@ def _validated_real(G, J, sign, entered, ztol, counts, inverse):
     on the working set prev, laid out as the constraint rows first and then
     prev, and scale bounds the entries of every direction system. prev's
     survivors are its members still signed; J lists them first, in their
-    order, then the entering indices. `_carry_inverse` moves M to J and each drop
-    downdates it, in O(k^2) each, so a solve is one product with M. Its
-    solution (u_J; s) is kept when the residual of the one product G @ z, z
+    order, then the entering indices. `_carry_inverse` moves M to J in
+    O(k^2), so the first solve is one product with M. Its solution
+    (u_J; s) is kept when the residual of the one product G @ z, z
     scattering (u_J; s) over every index, passes the plain gate. Other
-    steps keep the gathered route: no inverse to carry, a tiny pivot, an
-    ill-conditioned system (`_carriable`) or a failed gate. They gather the
-    system from G and solve it by `_bordered_direction`, and a solution
-    that passes its gate without the least-squares fallback re-seeds M.
+    solves take the gathered route: no inverse to carry, a tiny pivot, an
+    ill-conditioned system (`_carriable`), a failed gate, or a drop just
+    made. They gather the system from G and solve it by
+    `_bordered_direction`, and a solution that passes its gate without the
+    least-squares fallback re-seeds M.
     counts tallies direction solves, least-squares fallbacks, solves by the
     carried inverse ("updates") and re-seeds.
 
@@ -555,9 +556,8 @@ def _validated_real(G, J, sign, entered, ztol, counts, inverse):
                              float(np.abs(G[n:]).max(initial=0.0)))
     else:
         prev, M, scale = inverse
-        M = _carry_inverse(G, M, prev, sign[prev] != 0.0, layout)
+        M = _carriable(_carry_inverse(G, M, prev, sign[prev] != 0.0, layout), scale)
     while True:
-        M = _carriable(M, scale)
         sig = sign[J]
         v = None
         if M is not None:
@@ -589,11 +589,9 @@ def _validated_real(G, J, sign, entered, ztol, counts, inverse):
         drop = int(np.argmax(np.where(bad, np.abs(uJ), -np.inf)))
         j = J[drop]
         J = np.delete(J, drop)
-        layout = np.delete(layout, m + drop)
         entered[j] = False
         sign[j] = 0.0
-        if M is not None:
-            M = _drop_index(M, m + drop)
+        M = None
 
 
 def _carriable(M, scale):
@@ -707,7 +705,7 @@ def _check_off_support(b, sign, tau, ztol):
         )
 
 
-def _breakpoints(problem, constraints, max_active=None):
+def _breakpoints(problem, constraints, cap=None):
     """The path's breakpoints in order, START first: the one place the
     engine builds a `PathBreakpoint`.
 
@@ -718,7 +716,7 @@ def _breakpoints(problem, constraints, max_active=None):
     (unless the path has reached tau_stop), names the event, checks the
     non-members (every breakpoint but START), yields the breakpoint, and
     ends the path at tau_stop, past the breakpoint budget (SolverError) or
-    once the working set reaches max_active; otherwise the ratio test finds
+    once the working set reaches cap; otherwise the ratio test finds
     the next breakpoint and the weights, multipliers and residual step to
     it. The residual steps by its velocity, except after a gathered
     direction solve, where it is recomputed from the data as at START. A
@@ -780,7 +778,7 @@ def _breakpoints(problem, constraints, max_active=None):
             break
         if count > budget:
             raise SolverError("constrained path exceeded its breakpoint budget")
-        if max_active is not None and len(J) >= max_active:
+        if cap is not None and len(J) >= cap:
             break
         u = np.zeros(len(w))
         u[J] = uJ
@@ -849,7 +847,7 @@ def find_constrained_start(problem, constraints):
     return bp, bp.tau
 
 
-def solve_constrained_path(problem, constraints, max_active=None):
+def solve_constrained_path(problem, constraints):
     """Every breakpoint of the constrained path from max(tau_0, tau_stop)
     down to tau_stop.
 
@@ -858,9 +856,7 @@ def solve_constrained_path(problem, constraints, max_active=None):
     recorded like any other breakpoint. The path is the full path's prefix
     down to tau_stop: its breakpoints above tau_stop are the full path's,
     and it ends at tau_stop, with START alone when tau_stop is at or above
-    the knee tau_0. Set max_active to end the path early at the first
-    breakpoint whose working set reaches that size; the breakpoints up to
-    it are those of the full path.
+    the knee tau_0.
 
     Raises:
         SingularActiveSystem: a direction system is inconsistent.
@@ -868,7 +864,7 @@ def solve_constrained_path(problem, constraints, max_active=None):
             beyond double precision), a breakpoint leaves a non-member
             beyond the boundary, or the breakpoint budget ran out.
     """
-    return SolutionPath(tuple(_breakpoints(problem, constraints, max_active)))
+    return SolutionPath(tuple(_breakpoints(problem, constraints)))
 
 
 def solve_path(problem):
@@ -877,9 +873,10 @@ def solve_path(problem):
 
     `solve_constrained_path` with no constraint rows, so the same prefix
     rule holds, and every breakpoint carries length-0 multipliers. The
-    path starts at tau_0 = initial_tau(problem) with zero weights and ends
-    at tau_stop; when zero is optimal at tau_stop (tau_0 <= tau_stop) it is
-    the one START breakpoint at tau_stop.
+    path starts with zero weights at tau_0 = 2 max_i |(R^T y)_i / s_i|, the
+    smallest tau at which they are optimal, and ends at tau_stop; when zero
+    is optimal at tau_stop (tau_0 <= tau_stop) it is the one START
+    breakpoint at tau_stop.
     """
     return solve_constrained_path(
         problem, AffineConstraints(np.zeros((0, problem.n_assets)), np.zeros(0)))

@@ -6,11 +6,10 @@ The problem is
 
 and its minimizer and Lagrange multipliers are piecewise linear in tau.
 This module holds the problem (`PenalizedProblem`), the path and its one
-breakpoint type (`SolutionPath`, `PathBreakpoint`, `Event`), the start level
-`initial_tau` of the path with no constraints, and the interpolation
-(`eval_at`, `multipliers_at`). A path without constraints is the m = 0 case:
-its breakpoints carry length-0 multipliers. Paths are computed by the one
-continuation engine in `path_constrained`.
+breakpoint type (`SolutionPath`, `PathBreakpoint`, `Event`), and the
+interpolation (`eval_at`, `multipliers_at`). A path without constraints is
+the m = 0 case: its breakpoints carry length-0 multipliers. Paths are
+computed by the one continuation engine in `path_constrained`.
 """
 from __future__ import annotations
 
@@ -25,7 +24,6 @@ __all__ = [
     "PathBreakpoint",
     "Event",
     "SolutionPath",
-    "initial_tau",
     "eval_at",
     "multipliers_at",
 ]
@@ -108,10 +106,6 @@ class PenalizedProblem:
     @property
     def n_periods(self) -> int:
         return self.design.shape[0]
-
-    def scaled_design(self) -> np.ndarray:
-        """Design with column i divided by s_i (reduces to the plain penalty)."""
-        return self.design / self.penalty_weights[np.newaxis, :]
 
 
 @dataclass(frozen=True)
@@ -206,16 +200,6 @@ class SolutionPath:
 
     def eval_at(self, tau: float) -> np.ndarray:
         return eval_at(self, tau)
-
-
-def initial_tau(problem: PenalizedProblem) -> float:
-    """Smallest tau at which the zero vector is optimal.
-
-    Returns 2 * max_i |(R^T y)_i / s_i|; the path weights vanish for every
-    tau at or above this value.
-    """
-    c = problem.scaled_design().T @ problem.target
-    return 2.0 * float(np.max(np.abs(c))) if c.size else 0.0
 
 
 def _interpolate(path: SolutionPath, tau: float):

@@ -254,7 +254,7 @@ def _portfolio_path(problem, constraints) -> SolutionPath:
     """solve_portfolio_path's path, filled on demand: nothing is solved
     until a reader pulls it."""
     cap = None if problem.n_assets <= ACTIVE_CAP else ACTIVE_CAP
-    return SolutionPath(_breakpoints(problem, constraints, max_active=cap))
+    return SolutionPath(_breakpoints(problem, constraints, cap))
 
 
 def _selection(problem: PenalizedProblem, weights: np.ndarray, tau: float,

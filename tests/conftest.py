@@ -57,6 +57,13 @@ def random_instance(seed, n_max=8, t_max=12, m_choices=(0, 1, 2),
     return problem, constraints
 
 
+def lars_start_tau(problem):
+    """2 max_i |(R^T y)_i / s_i|, the smallest tau at which zero weights
+    are optimal without constraints, computed from the problem's data."""
+    c = (problem.design / problem.penalty_weights).T @ problem.target
+    return 2.0 * float(np.abs(c).max())
+
+
 def recomputed_residual(problem, bp, constraints=None):
     """b = (R^T (y - R w) + A^T lam) / s from the problem data, the
     breakpoint's weights and multipliers, and the constraint rows, which a

@@ -1,21 +1,30 @@
 """Paired timing of this checkout's path engine against another checkout's.
 
 Loads this checkout's sparsefolio and the one under OTHER/src in one
-process, builds the two `wide` benchmark problems with perfbench/inputs.py
-(the constrained `solve` and the weighted `track`), and solves both with
-each side in turn, alternating which side goes first. Run from the root of
-a checkout:
+process and times two blocks of benchmark problems, built with
+perfbench/inputs.py. Each block is solved with each side in turn,
+alternating which side goes first:
+
+- `wide`: the two `wide` problems, the constrained `solve` and the
+  weighted `track`;
+- `backtest`: the 60 Markowitz problems of the `backtest` workload, one
+  per construction June 1976-2005 on each of its 48- and 100-asset panels,
+  trained on the trailing 60 months and solved by solve_portfolio_path, as
+  the backtest solves them.
+
+Run from the root of a checkout:
 
     python3 tests/engine_ab.py OTHER [--rounds 21] [--seed 0]
 
-It prints, for each side, the min and median time of one round (both
-problems); the median of the paired ratio this/other and the rounds this
-side won; and whether the two sides' paths agree: on the two `wide`
-problems and on the 1600 paths of the engine_hash.py pool
-(conftest.random_instance and markowitz_instance over seeds 0-399, with
-and without their constraint rows), the breakpoint counts, active sets and
-events, and the largest tau and weight difference, each relative to its
-largest magnitude along the path.
+It prints, for each block and side, the min and median time of one round
+(every problem of the block); the median of the paired ratio this/other
+and the rounds this side won; and whether the two sides' paths agree: on
+the block's problems and, last, on the 1600 paths of the engine_hash.py
+pool (conftest.random_instance and markowitz_instance over seeds 0-399,
+with and without their constraint rows), the breakpoint counts, active
+sets and events, and the largest tau and weight difference, each relative
+to its largest magnitude along the path. A problem that raises counts as
+agreeing when both sides raise the same error class.
 
 BLAS runs on one thread, as in perfbench/run.py. Pairing within one
 process resolves differences of a few percent that separate harness runs,
@@ -46,7 +55,12 @@ for _dir in ("src", "tests", "perfbench"):
 import numpy as np  # noqa: E402
 import sparsefolio  # noqa: E402
 from conftest import markowitz_instance, random_instance  # noqa: E402
-from inputs import write_inputs  # noqa: E402
+from inputs import (  # noqa: E402
+    FIRST_YEAR,
+    LAST_YEAR,
+    TRAINING_MONTHS,
+    write_inputs,
+)
 
 POOL_SEEDS = range(400)
 
@@ -76,6 +90,32 @@ def wide_solvers(pkg, jobs):
             cons = pkg.AffineConstraints(matrix=job.matrix, rhs=job.rhs)
             solvers.append(lambda p=problem, c=cons: pkg.solve_constrained_path(p, c))
     return solvers
+
+
+def backtest_solvers(pkg, panels):
+    """One callable per construction June of each panel's CSV text, solving
+    its Markowitz problem with pkg; a solve that raises returns the error
+    class name instead."""
+    solvers = []
+    for text in panels:
+        panel = pkg.panel_from_csv(text)
+        for year in range(FIRST_YEAR, LAST_YEAR + 1):
+            train = pkg.window(panel, pkg.add_months((year, 6), 1 - TRAINING_MONTHS),
+                               TRAINING_MONTHS)
+            rho = float(train.returns.mean(axis=1).mean())
+            problem, cons = pkg.build_markowitz_problem(
+                pkg.MarkowitzSpec(target_return=rho, training_panel=train))
+            solvers.append(lambda p=problem, c=cons:
+                           guarded(pkg, pkg.solve_portfolio_path, p, c))
+    return solvers
+
+
+def guarded(pkg, solve, *args):
+    """solve(*args), or the class name of the pkg error it raises."""
+    try:
+        return solve(*args)
+    except pkg.SparsefolioError as exc:
+        return type(exc).__name__
 
 
 def timed(solvers):
@@ -113,10 +153,7 @@ def pool_paths(pkg):
             c = pkg.AffineConstraints(matrix=cons.matrix, rhs=cons.rhs)
             for solve in (lambda: pkg.solve_constrained_path(p, c),
                           lambda: pkg.solve_path(p)):
-                try:
-                    out.append(solve())
-                except pkg.SparsefolioError as exc:
-                    out.append(type(exc).__name__)
+                out.append(guarded(pkg, solve))
     return out
 
 
@@ -135,6 +172,25 @@ def report_agreement(label, ours, theirs) -> None:
           f"weights {weight_gap:.3g}")
 
 
+def run_block(label, sides, rounds) -> None:
+    """Time one block's solvers on both sides, alternating which goes
+    first, and print its times, paired ratio and path agreement."""
+    times = {"this": [], "other": []}
+    paths = {}
+    for r in range(rounds):
+        for name in (("this", "other") if r % 2 else ("other", "this")):
+            elapsed, paths[name] = timed(sides[name])
+            times[name].append(elapsed)
+    print(f"{label} ({len(sides['this'])} problems)")
+    for name, ts in times.items():
+        print(f"{name:>5}: min {min(ts):.4f} s, median {np.median(ts):.4f} s "
+              f"over {len(ts)} rounds")
+    ratio = np.array(times["this"]) / np.array(times["other"])
+    print(f"paired ratio this/other: median {np.median(ratio):.3f}, "
+          f"this faster in {int(np.sum(ratio < 1.0))}/{len(ratio)}")
+    report_agreement(label, paths["this"], paths["other"])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other", help="root of the checkout to compare against")
@@ -144,21 +200,14 @@ def main(argv=None) -> int:
     other = load_other(args.other)
     with tempfile.TemporaryDirectory() as workdir:
         jobs = write_inputs("wide", args.seed, workdir).jobs
-    sides = {"this": wide_solvers(sparsefolio, jobs),
-             "other": wide_solvers(other, jobs)}
-    times = {"this": [], "other": []}
-    paths = {}
-    for r in range(args.rounds):
-        for name in (("this", "other") if r % 2 else ("other", "this")):
-            elapsed, paths[name] = timed(sides[name])
-            times[name].append(elapsed)
-    for name, ts in times.items():
-        print(f"{name:>5}: min {min(ts):.4f} s, median {np.median(ts):.4f} s "
-              f"over {len(ts)} rounds")
-    ratio = np.array(times["this"]) / np.array(times["other"])
-    print(f"paired ratio this/other: median {np.median(ratio):.3f}, "
-          f"this faster in {int(np.sum(ratio < 1.0))}/{len(ratio)}")
-    report_agreement("wide", paths["this"], paths["other"])
+        panels = []
+        for job in write_inputs("backtest", args.seed, workdir).jobs:
+            with open(job.argv[job.argv.index("--data") + 1], encoding="utf-8") as fh:
+                panels.append(fh.read())
+    run_block("wide", {"this": wide_solvers(sparsefolio, jobs),
+                       "other": wide_solvers(other, jobs)}, args.rounds)
+    run_block("backtest", {"this": backtest_solvers(sparsefolio, panels),
+                           "other": backtest_solvers(other, panels)}, args.rounds)
     report_agreement("pool", pool_paths(sparsefolio), pool_paths(other))
     return 0
 

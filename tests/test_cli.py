@@ -445,6 +445,20 @@ def test_adjust_starts_from_zero_trades(tmp_path):
     assert first[2] == "0"  # no trades at the start of the path
     doc = json.loads((out / "path.json").read_text())
     assert doc["breakpoints"][0]["weights"] == [0.0, 0.0, 0.0, 0.0]
+    assert proc.stdout.splitlines() == [f"wrote {out / 'path.json'}",
+                                        f"wrote {out / 'frontier.csv'}"]
+
+
+def test_adjust_failing_frontier_leaves_no_partial_output(tmp_path):
+    # a target return of 1e300 overflows the frontier's misfit; the path
+    # file must not be written ahead of the failure
+    data, _ = synthetic_panel_csv(tmp_path, seed=6)
+    current = write_json(tmp_path / "w.json", [0.25, 0.25, 0.25, 0.25])
+    out = tmp_path / "out"
+    proc = run_cli("adjust", "--panel", data, "--current", current,
+                   "--target-return", "1e300", "--out", str(out))
+    assert proc.returncode != 0
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_adjust_reads_byte_order_marked_inputs(tmp_path, capsys):

@@ -100,6 +100,36 @@ def test_exact_zero_pivot_takes_the_gathered_route(monkeypatch):
     assert counts["updates"] == 0 and counts["fallbacks"] == 1
 
 
+@pytest.mark.parametrize("eps", [0.0, 1e-5])
+def test_tiny_downdate_pivot_takes_the_gathered_route(eps):
+    # G = [I, -A^T; A, 0] with A = (1, eps, 1). Removing index 0 from the
+    # working set [0, 1] leaves index 1 alone, whose system has determinant
+    # eps^2: the downdate pivot, M's entry for index 0, is zero or tiny
+    G = path_constrained._bordered_matrix(np.eye(3), np.array([[1.0, eps, 1.0]]))
+    sign = np.array([1.0, 1.0, 0.0])
+    state = path_constrained._validated_real(
+        G, np.array([0, 1]), sign, np.zeros(3, dtype=bool), 1e-12, Counter(), None)[4]
+    prev, M, _ = state
+    # M's rows are the constraint row, then prev: index 0 is row 1
+    assert abs(M[1, 1]) <= path_constrained._PIVOT_REL * np.abs(M[1]).max()
+    assert path_constrained._drop_index(M, 1) is None
+    # index 0 leaves and index 2 enters: carrying M fails at the downdate
+    sign[0], sign[2] = 0.0, -1.0
+    J = np.array([1, 2])
+    assert path_constrained._carry_inverse(
+        G, M, prev, sign[prev] != 0.0, np.array([3, 1, 2])) is None
+    # so the direction comes from the gathered LU, which re-seeds the inverse
+    counts = Counter()
+    uJ, svec, J, v, state = path_constrained._validated_real(
+        G, J, sign, np.array([False, False, True]), 1e-12, counts, state)
+    assert v is None and state is not None
+    assert (counts["solves"], counts["updates"], counts["reseeds"],
+            counts["fallbacks"]) == (1, 0, 1, 0)
+    rows = np.array([1, 2, 3])
+    fresh = np.linalg.solve(G[np.ix_(rows, rows)], np.array([1.0, -1.0, 0.0]))
+    np.testing.assert_allclose(np.concatenate((uJ, svec)), fresh, rtol=0, atol=1e-14)
+
+
 @pytest.mark.parametrize("m", [0, 2])
 def test_carried_residual_matches_recompute_along_a_long_path(m):
     problem, constraints = long_path_instance(m)

@@ -532,11 +532,11 @@ def test_engine_logs_one_debug_record_per_path(caplog):
     solve_constrained_path(
         PenalizedProblem(design=np.eye(3), target=np.array([1.0, 2.0, 3.0])),
         AffineConstraints(matrix=np.ones((1, 3)), rhs=np.array([1.0])))
-    # a path cut short by max_active logs when it ends, and so does one that
-    # ends at its START; the start alone logs nothing
-    solve_constrained_path(
+    # a path cut short at an active-set cap logs when it ends, and so does
+    # one that ends at its START; the start alone logs nothing
+    tuple(path_constrained._breakpoints(
         PenalizedProblem(design=np.eye(3), target=np.array([3.0, 2.0, 1.0])),
-        no_constraints(3), max_active=2)
+        no_constraints(3), 2))
     solve_path(PenalizedProblem(design=np.eye(2), target=np.array([3.0, 1.0]),
                                 tau_stop=50.0))
     find_constrained_start(

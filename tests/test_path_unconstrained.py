@@ -11,14 +11,18 @@ from sparsefolio import (
     SolverError,
     TauBelowStop,
     eval_at,
-    initial_tau,
     multipliers_at,
     solve_constrained_path,
     solve_path,
 )
 from oracles import oracle_sign_enumeration_many
 
-from conftest import certificate_violation, random_instance, unconstrained_instance
+from conftest import (
+    certificate_violation,
+    lars_start_tau,
+    random_instance,
+    unconstrained_instance,
+)
 
 
 def identity_problem():
@@ -47,24 +51,32 @@ def test_problem_rejects_bad_shapes():
         PenalizedProblem(design=np.eye(2), target=np.ones(2), tau_stop=-1.0)
 
 
-# --- initial_tau ---
+# --- the initial tau: START at tau_0 = 2 max|R^T y / s| ---
+
+def start_tau(problem):
+    return solve_path(problem).breakpoints[0].tau
+
 
 def test_initial_tau_identity():
-    assert initial_tau(identity_problem()) == 6.0
+    assert lars_start_tau(identity_problem()) == 6.0
+    assert start_tau(identity_problem()) == 6.0
 
 
 def test_initial_tau_zero_target():
     p = PenalizedProblem(design=np.eye(3), target=np.zeros(3))
-    assert initial_tau(p) == 0.0
+    assert lars_start_tau(p) == 0.0
+    assert start_tau(p) == 0.0
 
 
 def test_initial_tau_scales_with_columns():
     rng = np.random.default_rng(0)
     R = rng.standard_normal((5, 3))
     y = rng.standard_normal(5)
-    base = initial_tau(PenalizedProblem(design=R, target=y))
-    scaled = initial_tau(PenalizedProblem(design=2.5 * R, target=y))
-    assert np.isclose(scaled, 2.5 * base, rtol=1e-14)
+    base = PenalizedProblem(design=R, target=y)
+    scaled = PenalizedProblem(design=2.5 * R, target=y)
+    assert np.isclose(start_tau(base), lars_start_tau(base), rtol=1e-14)
+    assert np.isclose(start_tau(scaled), lars_start_tau(scaled), rtol=1e-14)
+    assert np.isclose(start_tau(scaled), 2.5 * start_tau(base), rtol=1e-14)
 
 
 # --- solve_path on the closed-form instance ---
@@ -150,7 +162,7 @@ def test_orthonormal_design_matches_soft_threshold():
     p = PenalizedProblem(design=Q, target=y)
     path = solve_path(p)
     c = Q.T @ y
-    for tau in np.linspace(0.0, initial_tau(p), 13):
+    for tau in np.linspace(0.0, 2.0 * np.abs(c).max(), 13):
         np.testing.assert_allclose(
             path.eval_at(tau), soft_threshold(c, tau), atol=1e-10
         )

@@ -25,7 +25,6 @@ from sparsefolio import (
     build_hedging_problem,
     build_markowitz_problem,
     build_tracking_problem,
-    initial_tau,
     select_binned,
     select_exact_k,
     select_no_short,
@@ -36,7 +35,7 @@ from sparsefolio import (
 from sparsefolio.path_unconstrained import PathBreakpoint, Event, SolutionPath
 from sparsefolio.portfolio import ACTIVE_CAP
 
-from conftest import factor_panel, markowitz_instance
+from conftest import factor_panel, lars_start_tau, markowitz_instance
 
 
 def month_grid(start, t):
@@ -365,9 +364,10 @@ def test_tracking_orthogonal_index_gives_empty_portfolio():
     panel = make_panel(base[:, 1:4])
     index = base[:, 0]
     problem = build_tracking_problem(index, panel, np.ones(3))
-    assert initial_tau(problem) == 0.0
+    assert lars_start_tau(problem) == 0.0
     path = solve_path(problem)
     assert len(path.breakpoints) == 1
+    assert path.breakpoints[0].tau == 0.0
     assert np.all(path.breakpoints[0].weights == 0.0)
 
 
@@ -418,8 +418,9 @@ def test_hedging_zero_book_stays_empty():
         spreads=np.ones(3),
     )
     problem = build_hedging_problem(scenario)
-    assert initial_tau(problem) == 0.0
+    assert lars_start_tau(problem) == 0.0
     path = solve_path(problem)
+    assert path.breakpoints[0].tau == 0.0
     assert np.all(path.breakpoints[0].weights == 0.0)
 
 

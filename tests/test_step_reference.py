@@ -226,6 +226,29 @@ def test_step_matches_reference(kind, seed):
     assert_same_path(problem, constraints)
 
 
+@pytest.mark.parametrize("m, seed, entering_sign", [(0, 6, 1.0), (1, 5, -1.0)])
+def test_drop_after_a_carried_solve_matches_reference(m, seed, entering_sign):
+    # a just-entered index whose velocity opposes its sign, met on the
+    # carried inverse of the working set before it entered: no input of the
+    # pools reaches this, so the validation is built by hand
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal((8, 4))
+    G = path_constrained._bordered_matrix(R.T @ R, rng.standard_normal((m, 4)))
+    sign = np.array([1.0, -1.0, 0.0, 0.0])
+    state = path_constrained._validated_real(
+        G, np.array([0, 1]), sign, np.zeros(4, dtype=bool), 1e-12, Counter(), None)[4]
+    assert state is not None
+    sign[2] = entering_sign
+    entered = np.array([False, False, True, False])
+    args = (G, np.array([0, 1, 2]), sign, entered, 1e-12, Counter(), state)
+    assert_same_validation(args)
+    counts = Counter()
+    kept = path_constrained._validated_real(*copy.deepcopy(args[:5]), counts, state)[2]
+    # the first solve is by the carried inverse, and index 2 is dropped
+    assert kept.tolist() == [0, 1]
+    assert counts["updates"] >= 1 and counts["solves"] == 2
+
+
 def test_reference_replay_meets_ties_drops_and_fallbacks():
     # the pool above reaches the step's rare branches: several indices
     # entering at one breakpoint, a member leaving, a just-entered index
